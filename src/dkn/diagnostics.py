@@ -23,7 +23,7 @@ cover the separate question of whether the factorization is unique.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -133,6 +133,8 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0):
     if eps.shape != (vec_x.shape[0],):
         raise DimensionError("noise length does not match image count")
     n = vec_x.shape[0]
+    # Every term would get the same probe, so one term's block is enough.
+    single = replace(structure, rank=1)
     worst = 0.0
     for j in range(n_probes):
         g = rng.stream(seed, rng.PURPOSE_PROBE, j)
@@ -141,8 +143,7 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0):
             w = g.standard_normal(int(np.prod(structure.lower_extents(l - 1))))
             u /= np.linalg.norm(u)
             w /= np.linalg.norm(w)
-            design = build_design(vec_x, structure, l, [u] * structure.rank, [w] * structure.rank)
-            block = design[:, : structure.layer_size(l)]
+            block = build_design(vec_x, single, l, [u], [w])
             worst = max(worst, float(np.linalg.norm(block.T @ eps) / n))
     return worst
 

@@ -15,8 +15,9 @@ top singular vectors of the response-weighted image aggregate.
 
 Images enter as an (n, *image_dims) stack (a list of tensors or an
 (n, prod(dims)) matrix of canonical vecs is also accepted).  All solver
-state lives on the vectorized batch; per-layer designs are assembled with
-precomputed index gathers, never per-image Python loops.
+state lives on the vectorized batch; each layer's design contracts a
+strided, copy-free view of that batch against the partial products (the
+batched form of ``kron_ops.nonoverlap_conv``), never per-image Python loops.
 """
 
 import copy
@@ -35,8 +36,8 @@ from .errors import (
     DimensionError,
     RankDeficiencyError,
 )
-from .kron_ops import kron_chain, reshape_R_indices, tkp
-from .tensor_core import read_dkt, unvec, vec, write_dkt
+from .kron_ops import _triple, compose_coeff, reshape_R_indices, tkp
+from .tensor_core import dist, read_dkt, unvec, vec, write_dkt
 
 __all__ = [
     "DknStructure",
@@ -64,13 +65,6 @@ __all__ = [
 COLLAPSE_TOL = 1e-12
 MANIFEST_NAME = "manifest.json"
 _MODEL_FORMAT = "dkn-model-v1"
-
-
-def _triple(dims):
-    dims = tuple(int(d) for d in dims)
-    if not 1 <= len(dims) <= 3 or any(d < 1 for d in dims):
-        raise DimensionError(f"expected 1..3 positive extents, got {dims}")
-    return dims + (1,) * (3 - len(dims))
 
 
 @dataclass(frozen=True)
@@ -306,9 +300,7 @@ class DknModel:
 
     def coefficient(self, crop=True):
         """Composed coefficient tensor, shaped like the original images."""
-        c = kron_chain(self.factors[0])
-        for chain in self.factors[1:]:
-            c = c + kron_chain(chain)
+        c = compose_coeff(self.factors)
         ndim = len(self.structure.image_dims)
         c = c.reshape(c.shape[:ndim], order="F")
         if crop and self.padded_from is not None:
@@ -385,7 +377,14 @@ def _sign_fix(v):
 def _init_spectral_vec(vec_x, y, structure):
     """Per-layer spectral seeds plus the unused singular-vector pools."""
     y = np.asarray(y, dtype=np.float64)
-    agg = y @ vec_x
+    with np.errstate(invalid="ignore", over="ignore"):
+        agg = y @ vec_x
+    if not np.all(np.isfinite(agg)):
+        # A NaN or inf pixel spoils the aggregate even where its weight is 0.
+        bad = np.flatnonzero(~np.all(np.isfinite(vec_x), axis=1))
+        if bad.size:
+            raise DimensionError(f"image {bad[0]} has a non-finite pixel")
+        raise DegenerateDataError("response-weighted image aggregate overflows")
     if not np.any(agg):
         raise DegenerateDataError("response-weighted image aggregate is zero")
     L, R = structure.depth, structure.rank
@@ -418,13 +417,32 @@ def init_spectral(images, response, structure):
 
 
 def _design_columns(vec_x, structure, l, left_r, right_r):
-    """One term's design block at layer l from its partial-product vectors."""
-    p1 = reshape_R_indices(structure.dims3, structure.upper_extents(l + 1))
-    g1 = vec_x[:, p1]
-    w = np.einsum("u,nuv->nv", left_r, g1)
-    p2 = reshape_R_indices(structure.lower_extents(l), structure.factor_dims[l - 1])
-    g2 = w[:, p2]
-    return np.einsum("nmw,w->nm", g2, right_r)
+    """One term's design block at layer l from its partial-product vectors.
+
+    Every mode of a canonical vec splits as (layers 1..l-1, layer l, layers
+    l+1..L) with the upper layers fastest, so the C-order reshape of the
+    stack is the copy-free view (n, q_lo, q_l, q_up, p_lo, p_l, p_up, d_lo,
+    d_l, d_up).  The larger partial product is contracted on that view, the
+    smaller one on the reduced array.
+    """
+    n = vec_x.shape[0]
+    d_lo, p_lo, q_lo = structure.lower_extents(l - 1)
+    d_l, p_l, q_l = structure.factor_dims[l - 1]
+    d_up, p_up, q_up = structure.upper_extents(l + 1)
+    up = np.reshape(left_r, (q_up, p_up, d_up))
+    lo = np.reshape(right_r, (q_lo, p_lo, d_lo))
+
+    def upper(t, a, b, c):  # t holds (a, q_up, b, p_up, c, d_up)
+        return np.einsum("aqbpcd,qpd->abc", t.reshape(a, q_up, b, p_up, c, d_up), up)
+
+    def lower(t, a, b, c):  # t holds (n, q_lo, a, p_lo, b, d_lo, c)
+        return np.einsum("nqapbdc,qpd->nabc", t.reshape(n, q_lo, a, p_lo, b, d_lo, c), lo)
+
+    if up.size >= lo.size:
+        t = lower(upper(vec_x, n * q_lo * q_l, p_lo * p_l, d_lo * d_l), q_l, p_l, d_l)
+    else:
+        t = upper(lower(vec_x, q_l * q_up, p_l * p_up, d_l * d_up), n * q_l, p_l, d_l)
+    return t.reshape(n, -1)
 
 
 def build_design(images, structure, l, left, right):
@@ -531,13 +549,6 @@ def sweep_update(model, images, response, family=None, l=1, options=None, left=N
     return updated, info
 
 
-def _compose_vec(factors_r):
-    acc = np.ones((1, 1, 1))
-    for f in reversed(factors_r):
-        acc = tkp(acc, f)
-    return vec(acc)
-
-
 def fit(images, response, structure, family="gaussian", options=None, padded_from=None):
     """Alternating-minimization fit of a Kronecker-factored GLM coefficient.
 
@@ -580,6 +591,9 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
         raise DimensionError(
             f"response length {y_raw.shape} does not match {vec_x.shape[0]} images"
         )
+    bad = np.flatnonzero(~np.isfinite(y_raw))
+    if bad.size:
+        raise DimensionError(f"response row {bad[0]} is not finite ({y_raw[bad[0]]})")
     intercept = 0.0
     y = y_raw
     if options.center_response:
@@ -664,7 +678,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
         obj = glm.nll_eta(family, vec_x @ coeff_vec, y)
         report.objective_trace.append(obj)
         if truth_vec is not None:
-            report.dist_trace.append(_vec_dist(coeff_vec, truth_vec))
+            report.dist_trace.append(dist(coeff_vec, truth_vec))
         if options.trace_factors:
             report.snapshots.append(copy.deepcopy(factors))
         report.sweeps = t
@@ -691,15 +705,6 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     report.bic = bic(model, vec_x, y_raw)
     report.wall_time_s = time.perf_counter() - t0
     return model, report
-
-
-def _vec_dist(u, v):
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateDataError("distance undefined for zero vectors")
-    c = float(u @ v) / (nu * nv)
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, c * c))))
 
 
 def normalize(model):
@@ -742,10 +747,7 @@ def normalize(model):
 
 def _linear_predictor(model, images):
     vec_x = _vectorize_images(images, model.structure, padded_from=model.padded_from)
-    coeff_vec = np.sum(
-        [_compose_vec(chain) for chain in model.factors], axis=0
-    )
-    return vec_x @ coeff_vec + model.intercept
+    return vec_x @ vec(compose_coeff(model.factors)) + model.intercept
 
 
 def predict(model, images):

@@ -196,6 +196,23 @@ def test_solver_failure_exits_3(tmp_path):
                  "--out", str(tmp_path / "m"), "--no-center"]) == 3
 
 
+def test_non_finite_inputs_exit_2_naming_the_index(tmp_path, capsys):
+    imgdir, ycsv, _, x, y = write_rank1_dataset(tmp_path, n=60, seed=9)
+    out = str(tmp_path / "m")
+    bad = x[17].copy()
+    bad[3, 5] = np.nan
+    write_dkt(os.path.join(imgdir, "img_00017.dkt"), bad)
+    assert main(["fit", "--images", imgdir, "--y", ycsv, "--out", out]) == 2
+    assert "image 17 has a non-finite pixel" in capsys.readouterr().err
+
+    write_dkt(os.path.join(imgdir, "img_00017.dkt"), x[17])
+    y_inf = y.copy()
+    y_inf[23] = np.inf
+    write_responses(tmp_path / "inf.csv", y_inf)
+    assert main(["fit", "--images", imgdir, "--y", str(tmp_path / "inf.csv"), "--out", out]) == 2
+    assert "response row 23 is not finite" in capsys.readouterr().err
+
+
 def test_predict_rejects_missing_model(tmp_path):
     imgdir, _, _, _, _ = write_rank1_dataset(tmp_path, n=4, seed=7)
     assert main(["predict", "--model", str(tmp_path / "nope"), "--images", imgdir,

@@ -1,6 +1,7 @@
 """Tests for the contraction-theory diagnostics."""
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -388,6 +389,16 @@ def test_probe_tau0_zero_noise_and_linearity():
     assert_allclose(two, 2.0 * one, rtol=1e-12)
     with pytest.raises(DimensionError):
         probe_tau0(images, eps[:-1], S883, n_probes=5, seed=1)
+
+
+def test_probe_tau0_does_not_depend_on_rank():
+    """Every term would get the same probe, so tau0 is the rank-1 value."""
+    g = rng.stream(23, rng.PURPOSE_IMAGES, 0)
+    images = g.standard_normal((40, 8, 8))
+    eps = rng.stream(23, rng.PURPOSE_RESPONSES, 0).standard_normal(40)
+    one = probe_tau0(images, eps, S883, n_probes=4, seed=2)
+    for rank in (2, 3):
+        assert probe_tau0(images, eps, replace(S883, rank=rank), n_probes=4, seed=2) == one
 
 
 def test_true_left_products_recovers_chain():

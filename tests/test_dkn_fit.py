@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dkn.dkn_fit as dkn_fit
@@ -26,7 +28,7 @@ from dkn.dkn_fit import (
 from dkn.dkn_fit import _vectorize_images
 from dkn.errors import DataFormatError, DegenerateDataError, DimensionError
 from dkn.glm import GAUSSIAN, nll_eta
-from dkn.kron_ops import compose_coeff, kron_chain
+from dkn.kron_ops import compose_coeff, kron_chain, reshape_R_indices
 from dkn.tensor_core import dist, inner, unvec, vec
 
 S883 = DknStructure(image_dims=(8, 8), factor_dims=[(2, 2), (2, 2), (2, 2)])
@@ -172,6 +174,48 @@ def test_build_design_reproduces_linear_predictor():
             design = build_design(images, structure, l, left, right)
             beta = np.concatenate([vec(chains[r][l - 1]) for r in range(rank)])
             assert_allclose(design @ beta, want, rtol=1e-10, atol=1e-11)
+
+
+def gather_design(vec_x, structure, l, left, right):
+    """The layer-l design by index gathers from the stack: the reference the
+    strided contraction in ``build_design`` is checked against."""
+    p1 = reshape_R_indices(structure.dims3, structure.upper_extents(l + 1))
+    p2 = reshape_R_indices(structure.lower_extents(l), structure.factor_dims[l - 1])
+    cols = []
+    for u, w in zip(left, right):
+        g1 = np.einsum("u,nuv->nv", u, vec_x[:, p1])
+        cols.append(np.einsum("nmw,w->nm", g1[:, p2], w))
+    return np.concatenate(cols, axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12, 20)), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example([5], 3, 2, 0)
+@example([12, 20], 2, 3, 1)
+@example([5, 12, 20], 3, 2, 2)
+def test_build_design_matches_gather(dims, rank, n, seed):
+    """At every layer the contracted design equals the gathered one, for
+    arbitrary (non-chain) partial products and padded extents."""
+    structure, _ = auto_structure(dims, rank)
+    rng = np.random.default_rng(seed)
+    images = rng.standard_normal((n,) + structure.image_dims)
+    vec_x = _vectorize_images(images, structure)
+    for l in range(1, structure.depth + 1):
+        n_up = int(np.prod(structure.upper_extents(l + 1)))
+        n_lo = int(np.prod(structure.lower_extents(l - 1)))
+        left = [rng.standard_normal(n_up) for _ in range(rank)]
+        right = [rng.standard_normal(n_lo) for _ in range(rank)]
+        got = build_design(images, structure, l, left, right)
+        want = gather_design(vec_x, structure, l, left, right)
+        # Rounding is bounded by the sum of absolute products in each entry.
+        scale = gather_design(np.abs(vec_x), structure, l, np.abs(left), np.abs(right))
+        assert got.shape == (n, rank * structure.layer_size(l))
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * float(scale.max()))
 
 
 def test_build_design_validation():
@@ -358,6 +402,28 @@ def test_fit_validation():
             S883,
             options=FitOptions(trace_truth=np.ones((4, 4))),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_names_a_non_finite_pixel(bad):
+    """A bad pixel is named even when its image's response weight is 0."""
+    rng = np.random.default_rng(41)
+    images = rng.standard_normal((60, 16, 16))
+    y = rng.standard_normal(60)
+    images[17, 3, 9] = bad
+    y[17] = 0.0
+    with pytest.raises(DimensionError, match=r"^image 17 has a non-finite pixel$"):
+        fit(images, y, deepest_structure((16, 16)))
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_fit_names_a_non_finite_response(center):
+    rng = np.random.default_rng(42)
+    images = rng.standard_normal((60, 16, 16))
+    y = rng.standard_normal(60)
+    y[23] = np.inf
+    with pytest.raises(DimensionError, match=r"^response row 23 is not finite"):
+        fit(images, y, deepest_structure((16, 16)), options=FitOptions(center_response=center))
 
 
 def test_fit_zero_response_is_degenerate():
