@@ -33,7 +33,7 @@ from .diagnostics import (
 from .dkn_fit import (
     DknStructure,
     FitOptions,
-    _vectorize_images,
+    _inner_products,
     auto_structure,
     fit,
     load_model,
@@ -388,9 +388,8 @@ def cmd_diagnose(args):
         notes.append(f"initialization distance unavailable: {exc}")
         _emit_diagnose(args, result)
         return EXIT_OK
-    vec_x = _vectorize_images(images, structure)
     t3 = np.asarray(truth, dtype=np.float64).reshape(structure.dims3, order="F")
-    noise = y - get_family(model.family).mean(vec_x @ vec(t3))
+    noise = y - get_family(model.family).mean(_inner_products(images, t3, structure))
     tau0 = probe_tau0(images, noise, structure, n_probes=args.probes, seed=args.seed)
     constants = theory_constants(probe.delta_hat, mu, tau0, fro_norm(truth), structure.depth)
     result["constants"] = asdict(constants)

@@ -23,7 +23,7 @@ cover the separate question of whether the factorization is unique.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -32,9 +32,11 @@ from . import rng
 from .dkn_fit import (
     DknModel,
     DknStructure,
+    _design_columns,
+    _image_stack,
+    _inner_products,
     _sign_fix,
     _vectorize_images,
-    build_design,
     init_spectral,
 )
 from .errors import DegenerateDataError, DimensionError
@@ -93,8 +95,7 @@ def probe_rip(images, structure, n_probes=50, seed=0):
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     if n_probes < 1:
         raise DimensionError("need at least one probe")
-    vec_x = _vectorize_images(images, structure)
-    n = vec_x.shape[0]
+    x, _ = _image_stack(images, structure)
     ratios = []
     worst = -1.0
     witness_ratio = 1.0
@@ -106,7 +107,8 @@ def probe_rip(images, structure, n_probes=50, seed=0):
         c2 = float(np.sum(c * c))
         if c2 == 0.0:
             raise DegenerateDataError("probe drew a zero coefficient")
-        ratio = float(np.sum((vec_x @ vec(c)) ** 2)) / (n * c2)
+        eta = _inner_products(x, c, structure)
+        ratio = float(np.sum(eta**2)) / (x.shape[0] * c2)
         ratios.append(ratio)
         if abs(ratio - 1.0) > worst:
             worst = abs(ratio - 1.0)
@@ -125,16 +127,18 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0):
 
     For random unit partial products at every layer, measures
     ||(1/n) sum_i eps_i X~_i||_2 through the same design assembly the
-    solver uses, and returns the largest value seen.
+    solver uses, and returns the largest value seen.  The design is linear
+    in the image, so sum_i eps_i X~_i is the design row of the aggregate
+    image sum_i eps_i X_i: one pass over the stack serves every probe.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     eps = np.asarray(noise, dtype=np.float64)
     vec_x = _vectorize_images(images, structure)
-    if eps.shape != (vec_x.shape[0],):
+    n = vec_x.shape[1]
+    if eps.shape != (n,):
         raise DimensionError("noise length does not match image count")
-    n = vec_x.shape[0]
+    agg = (vec_x @ eps)[:, None]
     # Every term would get the same probe, so one term's block is enough.
-    single = replace(structure, rank=1)
     worst = 0.0
     for j in range(n_probes):
         g = rng.stream(seed, rng.PURPOSE_PROBE, j)
@@ -143,8 +147,8 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0):
             w = g.standard_normal(int(np.prod(structure.lower_extents(l - 1))))
             u /= np.linalg.norm(u)
             w /= np.linalg.norm(w)
-            block = build_design(vec_x, single, l, [u], [w])
-            worst = max(worst, float(np.linalg.norm(block.T @ eps) / n))
+            row = _design_columns(agg, structure, l, u, w)
+            worst = max(worst, float(np.linalg.norm(row) / n))
     return worst
 
 
@@ -172,7 +176,7 @@ def true_left_products(truth, structure):
                 f"boundary {l}: truth is not Kronecker rank-1 (second singular "
                 f"value {s[1]:.3e} vs {s[0]:.3e})"
             )
-        out[l] = _sign_fix(u[:, 0].copy())
+        out[l] = _sign_fix(u[:, 0])
     return out
 
 

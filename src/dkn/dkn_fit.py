@@ -14,10 +14,13 @@ the new factors on the way back down.  Layer products are seeded from the
 top singular vectors of the response-weighted image aggregate.
 
 Images enter as an (n, *image_dims) stack (a list of tensors or an
-(n, prod(dims)) matrix of canonical vecs is also accepted).  All solver
-state lives on the vectorized batch; each layer's design contracts a
-strided, copy-free view of that batch against the partial products (the
-batched form of ``kron_ops.nonoverlap_conv``), never per-image Python loops.
+(n, prod(dims)) matrix of canonical vecs is also accepted).  The solver
+copies them once into a voxel-major stack, (n_voxels, n) with the samples
+fastest.  Each layer's design contracts a copy-free view of that stack
+against the partial products (the batched form of
+``kron_ops.nonoverlap_conv``) with inner loops that run along the samples,
+never per-image Python loops.  Prediction and the BIC need only <X_i, C>;
+they contract the images in their own memory order and build no stack.
 """
 
 import copy
@@ -240,30 +243,57 @@ def pad_images(images, from_dims, to_dims):
     return np.pad(x, pad)
 
 
-def _vectorize_images(images, structure, padded_from=None):
-    """Stack images into rows of canonical vecs at the structure's extents."""
+def _image_stack(images, structure, padded_from=None):
+    """The images as one float64 array in their own memory order, and
+    whether they are the unpadded originals of a padded structure.  Accepted
+    extents: ``padded_from``, image_dims, dims3, or one canonical vec."""
     if isinstance(images, (list, tuple)):
         images = np.stack([np.asarray(t, dtype=np.float64) for t in images])
     x = np.asarray(images, dtype=np.float64)
     if x.ndim < 2:
         raise DimensionError("expected a stack of images")
-    n = x.shape[0]
-    dpq = structure.n_voxels
+    shape = x.shape[1:]
+    if padded_from is not None and shape == tuple(padded_from):
+        return x, True
+    if shape in (structure.image_dims, structure.dims3, (structure.n_voxels,)):
+        return x, False
     expect = tuple(padded_from) if padded_from is not None else structure.image_dims
-    if x.shape[1:] == expect:
-        if padded_from is not None:
-            x = pad_images(x, expect, structure.image_dims)
-    elif x.shape[1:] in (structure.image_dims, structure.dims3):
-        pass  # already at the (padded) working extents
-    elif x.ndim == 2 and x.shape[1] == dpq:
-        return np.ascontiguousarray(x)  # rows are already canonical vecs
-    else:
-        raise DimensionError(
-            f"image extents {x.shape[1:]} do not match the structure's {expect}"
-        )
-    # Canonical vec per image: reverse the per-image axes, then row-ravel.
-    x = x.reshape((n,) + structure.dims3)
-    return np.ascontiguousarray(x.transpose(0, 3, 2, 1).reshape(n, dpq))
+    raise DimensionError(f"image extents {shape} do not match the structure's {expect}")
+
+
+def _vectorize_images(images, structure, padded_from=None):
+    """The solver's voxel-major image stack: a C-contiguous ``(n_voxels, n)``
+    array whose column i is the canonical vec of image i at the structure's
+    (padded) extents.
+
+    The samples run fastest, so every contraction of the stack streams along
+    them.  Built with one copy (two for images that still need padding).
+    """
+    x, unpadded = _image_stack(images, structure, padded_from)
+    if unpadded:
+        x = pad_images(x, padded_from, structure.image_dims)
+    n = x.shape[0]
+    if x.shape[1:] != (structure.n_voxels,):  # images, not rows of canonical vecs
+        x = x.reshape((n,) + structure.dims3)
+    # Reversing every axis makes the canonical (first-index-fastest) order C order.
+    return np.ascontiguousarray(x.T).reshape(structure.n_voxels, n)
+
+
+def _inner_products(images, coeff, structure, padded_from=None):
+    """<X_i, C> for every image i, where ``coeff`` is a composed coefficient
+    at the structure's extents.
+
+    The images are contracted in their own memory order, so no stack is
+    built: a C-ordered stack against the C-ravelled coefficient, a stack of
+    column-major tensors (as read from DKT1 files) against vec(C), and
+    unpadded images of a padded structure against the cropped coefficient.
+    """
+    x, unpadded = _image_stack(images, structure, padded_from)
+    c = np.reshape(coeff, structure.dims3, order="F")
+    if unpadded:
+        c = c[tuple(slice(0, e) for e in _triple(padded_from))]
+    order = "C" if x.ndim > 2 and x.strides[-1] < x.strides[1] else "F"
+    return x.reshape(x.shape[0], -1, order=order) @ np.ravel(c, order=order)
 
 
 @dataclass
@@ -369,19 +399,25 @@ class FitReport:
         return out
 
 
-def _sign_fix(v):
+def _positive_sign(v):
+    """+1.0 or -1.0, whichever makes v's largest-magnitude entry (the first,
+    on ties) positive."""
     j = int(np.argmax(np.abs(v)))
-    return v if v[j] >= 0 else -v
+    return 1.0 if v[j] >= 0 else -1.0
+
+
+def _sign_fix(v):
+    return _positive_sign(v) * v
 
 
 def _init_spectral_vec(vec_x, y, structure):
     """Per-layer spectral seeds plus the unused singular-vector pools."""
     y = np.asarray(y, dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):
-        agg = y @ vec_x
+        agg = vec_x @ y
     if not np.all(np.isfinite(agg)):
         # A NaN or inf pixel spoils the aggregate even where its weight is 0.
-        bad = np.flatnonzero(~np.all(np.isfinite(vec_x), axis=1))
+        bad = np.flatnonzero(~np.all(np.isfinite(vec_x), axis=0))
         if bad.size:
             raise DimensionError(f"image {bad[0]} has a non-finite pixel")
         raise DegenerateDataError("response-weighted image aggregate overflows")
@@ -398,8 +434,8 @@ def _init_spectral_vec(vec_x, y, structure):
             raise DegenerateDataError(
                 f"layer {l}: aggregate supports {avail} spectral directions, rank {R} requested"
             )
-        left[l] = [_sign_fix(u[:, r].copy()) for r in range(R)]
-        pools[l] = [_sign_fix(u[:, r].copy()) for r in range(R, u.shape[1])]
+        left[l] = [_sign_fix(u[:, r]) for r in range(R)]
+        pools[l] = [_sign_fix(u[:, r]) for r in range(R, u.shape[1])]
     return left, pools
 
 
@@ -417,42 +453,52 @@ def init_spectral(images, response, structure):
 
 
 def _design_columns(vec_x, structure, l, left_r, right_r):
-    """One term's design block at layer l from its partial-product vectors.
+    """One term's ``(k, n)`` design block at layer l from its partial-product
+    vectors, k = d_l * p_l * q_l.
 
     Every mode of a canonical vec splits as (layers 1..l-1, layer l, layers
     l+1..L) with the upper layers fastest, so the C-order reshape of the
-    stack is the copy-free view (n, q_lo, q_l, q_up, p_lo, p_l, p_up, d_lo,
-    d_l, d_up).  The larger partial product is contracted on that view, the
-    smaller one on the reduced array.
+    voxel-major stack is the copy-free view (q_lo, q_l, q_up, p_lo, p_l,
+    p_up, d_lo, d_l, d_up, n).  The larger partial product is contracted on
+    that view, the smaller one on the reduced array; both contractions run
+    their inner loops along the n samples.
     """
-    n = vec_x.shape[0]
+    n = vec_x.shape[1]
     d_lo, p_lo, q_lo = structure.lower_extents(l - 1)
     d_l, p_l, q_l = structure.factor_dims[l - 1]
     d_up, p_up, q_up = structure.upper_extents(l + 1)
     up = np.reshape(left_r, (q_up, p_up, d_up))
     lo = np.reshape(right_r, (q_lo, p_lo, d_lo))
 
-    def upper(t, a, b, c):  # t holds (a, q_up, b, p_up, c, d_up)
-        return np.einsum("aqbpcd,qpd->abc", t.reshape(a, q_up, b, p_up, c, d_up), up)
+    def upper(t, a, b, c):  # t holds (a, q_up, b, p_up, c, d_up, n)
+        return np.einsum("aqbpcdn,qpd->abcn", t.reshape(a, q_up, b, p_up, c, d_up, n), up)
 
-    def lower(t, a, b, c):  # t holds (n, q_lo, a, p_lo, b, d_lo, c)
-        return np.einsum("nqapbdc,qpd->nabc", t.reshape(n, q_lo, a, p_lo, b, d_lo, c), lo)
+    def lower(t, a, b, c):  # t holds (q_lo, a, p_lo, b, d_lo, c, n)
+        return np.einsum("qapbdcn,qpd->abcn", t.reshape(q_lo, a, p_lo, b, d_lo, c, n), lo)
 
     if up.size >= lo.size:
-        t = lower(upper(vec_x, n * q_lo * q_l, p_lo * p_l, d_lo * d_l), q_l, p_l, d_l)
+        t = lower(upper(vec_x, q_lo * q_l, p_lo * p_l, d_lo * d_l), q_l, p_l, d_l)
     else:
-        t = upper(lower(vec_x, q_l * q_up, p_l * p_up, d_l * d_up), n * q_l, p_l, d_l)
-    return t.reshape(n, -1)
+        t = upper(lower(vec_x, q_l * q_up, p_l * p_up, d_l * d_up), q_l, p_l, d_l)
+    return t.reshape(-1, n)
+
+
+def _layer_design(vec_x, structure, l, left, right):
+    """The ``(n, R * k)`` layer-l design, one column block per term."""
+    return np.concatenate(
+        [_design_columns(vec_x, structure, l, u, w) for u, w in zip(left, right)]
+    ).T
 
 
 def build_design(images, structure, l, left, right):
-    """Design matrix for the layer-l subproblem.
+    """Design matrix for the layer-l subproblem, ``(n, R * d_l * p_l * q_l)``.
 
     ``left`` holds the composed upper products (layers l+1..L) and
     ``right`` the composed lower products (layers 1..l-1), one canonical
     vec per rank term.  Column block r (size d_l*p_l*q_l) multiplies term
     r's layer-l factor, so ``design @ stacked_factors`` reproduces the full
-    model's linear predictor exactly.
+    model's linear predictor exactly.  Each call transposes ``images``
+    (rows of canonical vecs included) into the voxel-major stack once.
     """
     if not 1 <= l <= structure.depth:
         raise DimensionError(f"layer {l} outside 1..{structure.depth}")
@@ -470,12 +516,7 @@ def build_design(images, structure, l, left, right):
             raise DimensionError(f"term {r + 1}: upper product has {left[r].size} entries, expected {n_up}")
         if right[r].size != n_lo:
             raise DimensionError(f"term {r + 1}: lower product has {right[r].size} entries, expected {n_lo}")
-    vec_x = _vectorize_images(images, structure)
-    cols = [
-        _design_columns(vec_x, structure, l, left[r], right[r])
-        for r in range(structure.rank)
-    ]
-    return np.concatenate(cols, axis=1)
+    return _layer_design(_vectorize_images(images, structure), structure, l, left, right)
 
 
 def partial_products(model, l, side):
@@ -514,6 +555,17 @@ def _split_beta(beta, structure, l):
     return [unvec(mat[:, r], structure.factor_dims[l - 1]) for r in range(structure.rank)]
 
 
+def _solve_layer(family, design, y, ridge):
+    """GLM solution of one layer's subproblem.  A rank-deficient solve is
+    retried with the default ridge unless ``ridge`` is exactly 0.0."""
+    try:
+        return glm.fit_glm(family, design, y, ridge=ridge)
+    except RankDeficiencyError:
+        if ridge == 0.0:
+            raise
+        return glm.fit_glm(family, design, y, ridge=glm.default_ridge(design))
+
+
 def sweep_update(model, images, response, family=None, l=1, options=None, left=None):
     """Solve the layer-l subproblem once and return the updated model.
 
@@ -529,12 +581,7 @@ def sweep_update(model, images, response, family=None, l=1, options=None, left=N
     right = partial_products(model, l - 1, "right")
     design = build_design(images, structure, l, left, right)
     y = family.validate_response(response)
-    try:
-        beta = glm.fit_glm(family, design, y, ridge=options.ridge)
-    except RankDeficiencyError:
-        if options.ridge == 0.0:
-            raise
-        beta = glm.fit_glm(family, design, y, ridge=glm.default_ridge(design))
+    beta = _solve_layer(family, design, y, options.ridge)
     new_factors = copy.deepcopy(model.factors)
     for r, f in enumerate(_split_beta(beta, structure, l)):
         new_factors[r][l - 1] = f
@@ -587,9 +634,9 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     vec_x = _vectorize_images(images, structure, padded_from=padded_from)
     y_raw = family.validate_response(response)
-    if y_raw.shape != (vec_x.shape[0],):
+    if y_raw.shape != (vec_x.shape[1],):
         raise DimensionError(
-            f"response length {y_raw.shape} does not match {vec_x.shape[0]} images"
+            f"response length {y_raw.shape} does not match {vec_x.shape[1]} images"
         )
     bad = np.flatnonzero(~np.isfinite(y_raw))
     if bad.size:
@@ -651,17 +698,8 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
                     left[l + 1][r] = _reseed("left", l, r, t)
                 if np.linalg.norm(right[r]) < COLLAPSE_TOL:
                     right[r] = _reseed("right", l, r, t)
-            cols = [
-                _design_columns(vec_x, structure, l, left[l + 1][r], right[r])
-                for r in range(R)
-            ]
-            design = np.concatenate(cols, axis=1)
-            try:
-                beta = glm.fit_glm(family, design, y, ridge=options.ridge)
-            except RankDeficiencyError:
-                if options.ridge == 0.0:
-                    raise
-                beta = glm.fit_glm(family, design, y, ridge=glm.default_ridge(design))
+            design = _layer_design(vec_x, structure, l, left[l + 1], right)
+            beta = _solve_layer(family, design, y, options.ridge)
             for r, f in enumerate(_split_beta(beta, structure, l)):
                 factors[r][l - 1] = f
                 prev = unvec(right[r], structure.lower_extents(l - 1))
@@ -675,7 +713,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
                 left[l][r] = vec(tkp(upper, factors[r][l - 1]))
 
         coeff_vec = np.sum([right[r] for r in range(R)], axis=0)
-        obj = glm.nll_eta(family, vec_x @ coeff_vec, y)
+        obj = glm.nll_eta(family, coeff_vec @ vec_x, y)
         report.objective_trace.append(obj)
         if truth_vec is not None:
             report.dist_trace.append(dist(coeff_vec, truth_vec))
@@ -702,7 +740,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     except DegenerateDataError:
         pass  # an exactly-zero factor: keep the raw fit rather than fail late
     report.intercept = intercept
-    report.bic = bic(model, vec_x, y_raw)
+    report.bic = bic(model, vec_x.T, y_raw)  # rows of canonical vecs, not copied
     report.wall_time_s = time.perf_counter() - t0
     return model, report
 
@@ -724,12 +762,9 @@ def normalize(model):
             raise DegenerateDataError(f"term {r + 1}: cannot normalize a zero factor")
         scale = 1.0
         new_chain = [chain[0].copy()]
-        for f in chain[1:]:
-            nf = float(np.linalg.norm(f.ravel()))
+        for f, nf in zip(chain[1:], norms[1:]):
             g = f / nf
-            gv = g.ravel(order="F")
-            j = int(np.argmax(np.abs(gv)))
-            s = 1.0 if gv[j] >= 0 else -1.0
+            s = _positive_sign(vec(g))
             new_chain.append(g * s)
             scale *= nf * s
         new_chain[0] = new_chain[0] * scale
@@ -746,8 +781,8 @@ def normalize(model):
 
 
 def _linear_predictor(model, images):
-    vec_x = _vectorize_images(images, model.structure, padded_from=model.padded_from)
-    return vec_x @ vec(compose_coeff(model.factors)) + model.intercept
+    c = compose_coeff(model.factors)
+    return _inner_products(images, c, model.structure, model.padded_from) + model.intercept
 
 
 def predict(model, images):

@@ -80,14 +80,14 @@ def test_simulate_then_fit_then_predict(tmp_path):
     assert sorted(os.listdir(data / "images")) == [f"img_{i:05d}.dkt" for i in range(60)]
     assert len(os.listdir(data / "test_images")) == 15
     assert (data / "truth.dkt").exists()
-    echoed = json.load(open(data / "config.json"))
+    echoed = json.loads((data / "config.json").read_text())
     assert echoed["n_train"] == raw["n_train"]
     assert echoed["seed"] == raw["seed"]
 
     model_dir = tmp_path / "model"
     assert main(["fit", "--images", str(data / "images"), "--y", str(data / "y.csv"),
                  "--out", str(model_dir), "--seed", "0"]) == 0
-    report = json.load(open(model_dir / "fit_report.json"))
+    report = json.loads((model_dir / "fit_report.json").read_text())
     assert report["family"] == "gaussian" and report["rank"] == 1
     assert "wall_time_s" not in json.dumps(report)
 
@@ -98,7 +98,7 @@ def test_simulate_then_fit_then_predict(tmp_path):
         for i in range(60)
     ])
     yvals = np.array([float(line.split(",")[1])
-                      for line in open(data / "y.csv").read().splitlines()[1:]])
+                      for line in (data / "y.csv").read_text().splitlines()[1:]])
     structure, padded = auto_structure((8, 8), rank=1)
     _, api_report = fit(images, yvals, structure,
                         options=FitOptions(center_response=True), padded_from=padded)
@@ -107,7 +107,7 @@ def test_simulate_then_fit_then_predict(tmp_path):
     pred_path = tmp_path / "pred.csv"
     assert main(["predict", "--model", str(model_dir), "--images", str(data / "test_images"),
                  "--out", str(pred_path)]) == 0
-    rows = open(pred_path).read().splitlines()
+    rows = pred_path.read_text().splitlines()
     assert rows[0] == "id,pred"
     assert len(rows) == 16
     cli_pred = np.array([float(r.split(",")[1]) for r in rows[1:]])
@@ -125,7 +125,7 @@ def test_fit_scan_selects_rank_and_reports_bic(tmp_path):
     out = tmp_path / "model"
     assert main(["fit", "--images", imgdir, "--y", ycsv, "--out", str(out),
                  "--rank", "scan", "--ranks", "1,2", "--no-center"]) == 0
-    scan = json.load(open(out / "scan_report.json"))
+    scan = json.loads((out / "scan_report.json").read_text())
     assert sorted(scan["bic_table"].keys()) == ["1", "2"]
     assert scan["best_rank"] == 1  # the data are exactly rank one
     assert "wall_time_s" not in json.dumps(scan)
@@ -223,7 +223,7 @@ def test_check_equivalence_reports_all_suites(tmp_path):
     out = tmp_path / "report.json"
     assert main(["check-equivalence", "--instances", "25", "--seed", "1",
                  "--out", str(out)]) == 0
-    report = json.load(open(out))
+    report = json.loads(out.read_text())
     assert report["passed"] is True
     names = sorted(report["suites"].keys())
     assert names == ["conv_chain_inner_product", "cp_regrouping", "kron_rank1_reshape"]
@@ -243,7 +243,7 @@ def test_diagnose_without_truth_reports_probe_only(tmp_path):
     out = tmp_path / "diag.json"
     assert main(["diagnose", "--model", str(model_dir), "--images", imgdir,
                  "--y", ycsv, "--probes", "10", "--out", str(out)]) == 0
-    d = json.load(open(out))
+    d = json.loads(out.read_text())
     assert isinstance(d["delta_hat"], float)
     assert d["constants"] is None and d["decay_verdict"] is None
     assert d["identifiability"]["necessary"] in (True, False)
@@ -258,7 +258,7 @@ def test_diagnose_with_truth_evaluates_constants(tmp_path):
     out = tmp_path / "diag.json"
     assert main(["diagnose", "--model", str(model_dir), "--images", imgdir,
                  "--y", ycsv, "--truth", truth, "--out", str(out)]) == 0
-    d = json.load(open(out))
+    d = json.loads(out.read_text())
     assert d["delta_hat"] < 1.0 / 3.0
     assert d["constants"] is not None
     assert d["constants"]["depth"] == 3
@@ -281,7 +281,7 @@ def test_diagnose_flags_non_rank1_truth(tmp_path):
     out = tmp_path / "diag.json"
     assert main(["diagnose", "--model", str(model_dir), "--images", imgdir,
                  "--y", ycsv, "--truth", str(truth2), "--out", str(out)]) == 0
-    d = json.load(open(out))
+    d = json.loads(out.read_text())
     assert d["constants"] is None
     assert any("initialization distance unavailable" in note for note in d["notes"])
 

@@ -21,7 +21,18 @@ from dkn.diagnostics import (
     true_left_products,
     verify_decay,
 )
-from dkn.dkn_fit import DknModel, DknStructure, FitOptions, FitReport, fit, normalize, partial_products
+from dkn.dkn_fit import (
+    DknModel,
+    DknStructure,
+    FitOptions,
+    FitReport,
+    auto_structure,
+    build_design,
+    fit,
+    normalize,
+    pad_images,
+    partial_products,
+)
 from dkn.errors import DegenerateDataError, DimensionError
 from dkn.kron_ops import compose_coeff, kron_chain
 from dkn.tensor_core import dist, fro_norm, inner, unvec, vec
@@ -399,6 +410,28 @@ def test_probe_tau0_does_not_depend_on_rank():
     one = probe_tau0(images, eps, S883, n_probes=4, seed=2)
     for rank in (2, 3):
         assert probe_tau0(images, eps, replace(S883, rank=rank), n_probes=4, seed=2) == one
+
+
+def test_probe_tau0_matches_per_image_designs():
+    """tau0 from the noise-weighted aggregate image equals the value from
+    each probe's full (n, k) design, for 2-D and padded 3-D stacks."""
+    for dims, n in (((8, 8), 50), ((5, 4, 6), 30)):
+        structure, padded_from = auto_structure(dims)
+        g = rng.stream(24, rng.PURPOSE_IMAGES, 0)
+        images = g.standard_normal((n,) + dims)
+        if padded_from is not None:
+            images = pad_images(images, padded_from, structure.image_dims)
+        eps = rng.stream(24, rng.PURPOSE_RESPONSES, 0).standard_normal(n)
+        want = 0.0
+        for j in range(6):
+            p = rng.stream(3, rng.PURPOSE_PROBE, j)
+            for l in range(1, structure.depth + 1):
+                u = p.standard_normal(int(np.prod(structure.upper_extents(l + 1))))
+                w = p.standard_normal(int(np.prod(structure.lower_extents(l - 1))))
+                design = build_design(images, structure, l, [u / np.linalg.norm(u)],
+                                      [w / np.linalg.norm(w)])
+                want = max(want, float(np.linalg.norm(design.T @ eps)) / n)
+        assert_allclose(probe_tau0(images, eps, structure, n_probes=6, seed=3), want, rtol=1e-12)
 
 
 def test_true_left_products_recovers_chain():

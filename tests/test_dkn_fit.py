@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,11 +27,12 @@ from dkn.dkn_fit import (
     scan_rank,
     sweep_update,
 )
+from dkn.cli import _load_images_dir
 from dkn.dkn_fit import _vectorize_images
 from dkn.errors import DataFormatError, DegenerateDataError, DimensionError
-from dkn.glm import GAUSSIAN, nll_eta
+from dkn.glm import BERNOULLI, GAUSSIAN, nll_eta
 from dkn.kron_ops import compose_coeff, kron_chain, reshape_R_indices
-from dkn.tensor_core import dist, inner, unvec, vec
+from dkn.tensor_core import dist, inner, unvec, vec, write_dkt
 
 S883 = DknStructure(image_dims=(8, 8), factor_dims=[(2, 2), (2, 2), (2, 2)])
 
@@ -142,15 +145,24 @@ def test_pad_images():
 
 
 def test_vectorize_images_layouts():
+    """Every accepted layout gives the voxel-major stack: C-contiguous
+    (n_voxels, n), column i the canonical vec of image i."""
     rng = np.random.default_rng(1)
     x = rng.standard_normal((6, 8, 8))
-    rows = _vectorize_images(x, S883)
-    for i in range(6):
-        assert np.array_equal(rows[i], vec(x[i]))
-    as_list = _vectorize_images([x[i] for i in range(6)], S883)
-    assert np.array_equal(as_list, rows)
-    passthrough = _vectorize_images(rows, S883)
-    assert np.array_equal(passthrough, rows)
+    layouts = {
+        "stack": x,
+        "list": [x[i] for i in range(6)],
+        "dims3": x.reshape(6, 8, 8, 1),
+        "column-major images": np.stack([np.asfortranarray(t) for t in x]),
+        "fully column-major": np.asfortranarray(x),
+        "canonical rows": np.stack([vec(t) for t in x]),
+    }
+    for name, images in layouts.items():
+        stack = _vectorize_images(images, S883)
+        assert stack.shape == (64, 6), name
+        assert stack.flags.c_contiguous, name
+        for i in range(6):
+            assert np.array_equal(stack[:, i], vec(x[i])), name
     with pytest.raises(DimensionError):
         _vectorize_images(rng.standard_normal((6, 8, 4)), S883)
 
@@ -176,14 +188,14 @@ def test_build_design_reproduces_linear_predictor():
             assert_allclose(design @ beta, want, rtol=1e-10, atol=1e-11)
 
 
-def gather_design(vec_x, structure, l, left, right):
-    """The layer-l design by index gathers from the stack: the reference the
-    strided contraction in ``build_design`` is checked against."""
+def gather_design(rows, structure, l, left, right):
+    """The layer-l design by index gathers from rows of canonical vecs: the
+    reference the strided contraction in ``build_design`` is checked against."""
     p1 = reshape_R_indices(structure.dims3, structure.upper_extents(l + 1))
     p2 = reshape_R_indices(structure.lower_extents(l), structure.factor_dims[l - 1])
     cols = []
     for u, w in zip(left, right):
-        g1 = np.einsum("u,nuv->nv", u, vec_x[:, p1])
+        g1 = np.einsum("u,nuv->nv", u, rows[:, p1])
         cols.append(np.einsum("nmw,w->nm", g1[:, p2], w))
     return np.concatenate(cols, axis=1)
 
@@ -204,16 +216,16 @@ def test_build_design_matches_gather(dims, rank, n, seed):
     structure, _ = auto_structure(dims, rank)
     rng = np.random.default_rng(seed)
     images = rng.standard_normal((n,) + structure.image_dims)
-    vec_x = _vectorize_images(images, structure)
+    rows = np.stack([vec(x) for x in images])
     for l in range(1, structure.depth + 1):
         n_up = int(np.prod(structure.upper_extents(l + 1)))
         n_lo = int(np.prod(structure.lower_extents(l - 1)))
         left = [rng.standard_normal(n_up) for _ in range(rank)]
         right = [rng.standard_normal(n_lo) for _ in range(rank)]
         got = build_design(images, structure, l, left, right)
-        want = gather_design(vec_x, structure, l, left, right)
+        want = gather_design(rows, structure, l, left, right)
         # Rounding is bounded by the sum of absolute products in each entry.
-        scale = gather_design(np.abs(vec_x), structure, l, np.abs(left), np.abs(right))
+        scale = gather_design(np.abs(rows), structure, l, np.abs(left), np.abs(right))
         assert got.shape == (n, rank * structure.layer_size(l))
         assert_allclose(got, want, rtol=1e-12, atol=1e-12 * float(scale.max()))
 
@@ -443,8 +455,8 @@ def test_fit_pure_noise_bounded_by_least_squares():
     resid = y - predict(model, images)
     rss = float(resid @ resid)
     xs = _vectorize_images(images, S883)
-    ols = np.linalg.lstsq(xs, y, rcond=None)[0]
-    rss_ols = float(np.sum((y - xs @ ols) ** 2))
+    ols = np.linalg.lstsq(xs.T, y, rcond=None)[0]
+    rss_ols = float(np.sum((y - ols @ xs) ** 2))
     assert rss >= rss_ols - 1e-8
     assert rss <= float(y @ y) + 1e-8
 
@@ -642,6 +654,49 @@ def test_fit_on_padded_images_end_to_end():
     assert model.image_dims_out == (12, 10)
     assert dist(model.coefficient(), coeff) <= 1e-6
     assert_allclose(predict(model, images), y, rtol=0, atol=1e-4)
+
+
+def test_predict_is_the_same_for_every_input_layout(tmp_path):
+    """A padded rank-2 Bernoulli model with an intercept predicts the same
+    for every accepted layout of the same images, also after normalize and
+    after a save/load round trip; the BIC a fit reports is the public bic."""
+    rng = np.random.default_rng(43)
+    n = 150
+    structure, padded_from = auto_structure((12, 10), rank=2)
+    images = rng.standard_normal((n, 12, 10))
+    coeff = compose_image(random_chains(rng, structure), structure)[:12, :10]
+    eta = np.array([inner(x, coeff) for x in images]) / np.linalg.norm(coeff)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    fitted, report = fit(images, y, structure, family="bernoulli",
+                         options=FitOptions(max_sweeps=3, tol=0.0), padded_from=padded_from)
+    assert bic(fitted, images, y) == pytest.approx(report.bic, rel=1e-12)
+
+    # the same coefficient, but not in normalize's canonical form
+    raw = [[c[0] * -2.0] + c[1:-1] + [c[-1] * -0.5] for c in fitted.factors]
+    model = replace(fitted, factors=raw, intercept=0.4)
+    save_model(model, str(tmp_path / "model"))
+    models = {"raw": model, "normalized": normalize(model),
+              "reloaded": load_model(str(tmp_path / "model"))}
+
+    padded = pad_images(images, padded_from, structure.image_dims)
+    (tmp_path / "images").mkdir()
+    for i, x in enumerate(images):
+        write_dkt(str(tmp_path / "images" / f"img_{i:05d}.dkt"), x)
+    from_files = _load_images_dir(str(tmp_path / "images"))
+    assert from_files.strides[1] < from_files.strides[2]  # column-major images
+    layouts = {
+        "list of tensors": list(images),
+        "original extents": images,
+        "padded extents": padded,
+        "dims3": padded.reshape((n,) + structure.dims3),
+        "canonical rows": np.stack([vec(x) for x in padded]),
+        "DKT1 stack": from_files,
+    }
+    want_eta = np.array([inner(x, model.coefficient()) for x in images]) + 0.4
+    want = BERNOULLI.mean(want_eta)
+    for m_name, m in models.items():
+        for name, x in layouts.items():
+            assert_allclose(predict(m, x), want, rtol=1e-12, err_msg=f"{m_name}, {name}")
 
 
 def test_model_validation():
