@@ -36,7 +36,7 @@ from .dkn_fit import (
     _image_stack,
     _inner_products,
     _sign_fix,
-    _vectorize_images,
+    _weighted_sum,
     init_spectral,
 )
 from .errors import DegenerateDataError, DimensionError
@@ -58,6 +58,9 @@ __all__ = [
     "IdentifiabilityReport",
     "identifiability_check",
 ]
+
+
+_PROBE_BLOCK = 10  # divides the default 50 probes, so those draw no spare ones
 
 
 def coeff_distance(a, b):
@@ -91,6 +94,11 @@ def probe_rip(images, structure, n_probes=50, seed=0):
     (1/n) sum_i <X_i, C>^2 / |C|_F^2, and records its deviation from 1.
     delta_hat is the worst deviation seen; it can only grow as probes are
     added, and probe j is reproducible on its own from (seed, j).
+
+    Probes are contracted with the images ``_PROBE_BLOCK`` at a time, one
+    pass over the images per block.  The last block is filled with the
+    following probes, drawn from their own streams and then dropped, so
+    every probe is computed in the same block whatever ``n_probes`` is.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     if n_probes < 1:
@@ -100,20 +108,23 @@ def probe_rip(images, structure, n_probes=50, seed=0):
     worst = -1.0
     witness_ratio = 1.0
     witness = None
-    for j in range(n_probes):
-        g = rng.stream(seed, rng.PURPOSE_PROBE, j)
-        chains = _random_chains(structure, g, 2)
-        c = compose_coeff(chains)
-        c2 = float(np.sum(c * c))
-        if c2 == 0.0:
-            raise DegenerateDataError("probe drew a zero coefficient")
-        eta = _inner_products(x, c, structure)
-        ratio = float(np.sum(eta**2)) / (x.shape[0] * c2)
-        ratios.append(ratio)
-        if abs(ratio - 1.0) > worst:
-            worst = abs(ratio - 1.0)
-            witness_ratio = ratio
-            witness = chains
+    for j0 in range(0, n_probes, _PROBE_BLOCK):
+        block = [
+            _random_chains(structure, rng.stream(seed, rng.PURPOSE_PROBE, j), 2)
+            for j in range(j0, j0 + _PROBE_BLOCK)
+        ]
+        coeffs = [compose_coeff(chains) for chains in block]
+        etas = _inner_products(x, np.stack(coeffs, axis=-1), structure)
+        for b in range(min(_PROBE_BLOCK, n_probes - j0)):
+            c2 = float(np.sum(coeffs[b] * coeffs[b]))
+            if c2 == 0.0:
+                raise DegenerateDataError("probe drew a zero coefficient")
+            ratio = float(np.sum(etas[:, b] ** 2)) / (x.shape[0] * c2)
+            ratios.append(ratio)
+            if abs(ratio - 1.0) > worst:
+                worst = abs(ratio - 1.0)
+                witness_ratio = ratio
+                witness = block[b]
     return RipProbe(
         delta_hat=worst,
         ratios=ratios,
@@ -129,15 +140,16 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0):
     ||(1/n) sum_i eps_i X~_i||_2 through the same design assembly the
     solver uses, and returns the largest value seen.  The design is linear
     in the image, so sum_i eps_i X~_i is the design row of the aggregate
-    image sum_i eps_i X_i: one pass over the stack serves every probe.
+    image sum_i eps_i X_i: one pass over the images, in their own memory
+    order, serves every probe.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     eps = np.asarray(noise, dtype=np.float64)
-    vec_x = _vectorize_images(images, structure)
-    n = vec_x.shape[1]
+    x, _ = _image_stack(images, structure)
+    n = x.shape[0]
     if eps.shape != (n,):
         raise DimensionError("noise length does not match image count")
-    agg = (vec_x @ eps)[:, None]
+    agg = _weighted_sum(x, eps, structure)[:, None]
     # Every term would get the same probe, so one term's block is enough.
     worst = 0.0
     for j in range(n_probes):

@@ -16,11 +16,18 @@ top singular vectors of the response-weighted image aggregate.
 Images enter as an (n, *image_dims) stack (a list of tensors or an
 (n, prod(dims)) matrix of canonical vecs is also accepted).  The solver
 copies them once into a voxel-major stack, (n_voxels, n) with the samples
-fastest.  Each layer's design contracts a copy-free view of that stack
-against the partial products (the batched form of
-``kron_ops.nonoverlap_conv``) with inner loops that run along the samples,
-never per-image Python loops.  Prediction and the BIC need only <X_i, C>;
-they contract the images in their own memory order and build no stack.
+fastest.  Every design is that stack contracted against the partial
+products, through copy-free views with inner loops that run along the
+samples (the batched form of ``kron_ops.nonoverlap_conv``).  ``fit``
+carries a lower chain up each sweep, as in ``kron_ops.conv_chain_eval``:
+the stack contracted against this sweep's new factors B_1..B_{l-1}, which
+shrinks by |B_l| at every layer.  Layer l's design is that chain contracted
+against the upper product, so a sweep costs about 2 (1 + 1/|B_1| + ...)
+passes over the stack, and the sweep objective comes from the layer-L
+design.  ``build_design`` and ``sweep_update`` contract the full stack
+against both products.  The response-weighted aggregate, prediction and
+the BIC need only sums over images; they take the images in their own
+memory order and build no stack.
 """
 
 import copy
@@ -66,6 +73,7 @@ __all__ = [
 ]
 
 COLLAPSE_TOL = 1e-12
+_STACK_TILE = (32, 512)
 MANIFEST_NAME = "manifest.json"
 _MODEL_FORMAT = "dkn-model-v1"
 
@@ -267,21 +275,38 @@ def _vectorize_images(images, structure, padded_from=None):
     (padded) extents.
 
     The samples run fastest, so every contraction of the stack streams along
-    them.  Built with one copy (two for images that still need padding).
+    them.  The transpose is copied in tiles of ``_STACK_TILE`` (images,
+    voxels), so that both its reads and its writes stay within cached lines.
+    Images not stored in canonical order are first copied into canonical
+    rows one block of images at a time.
     """
     x, unpadded = _image_stack(images, structure, padded_from)
     if unpadded:
         x = pad_images(x, padded_from, structure.image_dims)
-    n = x.shape[0]
-    if x.shape[1:] != (structure.n_voxels,):  # images, not rows of canonical vecs
-        x = x.reshape((n,) + structure.dims3)
-    # Reversing every axis makes the canonical (first-index-fastest) order C order.
-    return np.ascontiguousarray(x.T).reshape(structure.n_voxels, n)
+    n, v = x.shape[0], structure.n_voxels
+    d, p, q = structure.dims3
+    if x.shape[1:] == (v,):  # rows of canonical vecs
+        canon = x.reshape(n, q, p, d)
+    else:  # reversed image axes: their C order is the canonical order
+        canon = x.reshape((n, d, p, q)).transpose(0, 3, 2, 1)
+    bs, bv = _STACK_TILE
+    out = np.empty((v, n))
+    for s in range(0, n, bs):
+        rows = canon[s : s + bs].reshape(-1, v)  # a view when already canonical
+        for u in range(0, v, bv):
+            out[u : u + bv, s : s + bs] = rows[:, u : u + bv].T
+    return out
+
+
+def _memory_order(x):
+    """"C" when a stack's images are stored row-major, else "F"."""
+    return "C" if x.ndim > 2 and x.strides[-1] < x.strides[1] else "F"
 
 
 def _inner_products(images, coeff, structure, padded_from=None):
     """<X_i, C> for every image i, where ``coeff`` is a composed coefficient
-    at the structure's extents.
+    at the structure's extents, or such coefficients stacked along a fourth
+    axis (the result then has one column per coefficient).
 
     The images are contracted in their own memory order, so no stack is
     built: a C-ordered stack against the C-ravelled coefficient, a stack of
@@ -289,11 +314,34 @@ def _inner_products(images, coeff, structure, padded_from=None):
     unpadded images of a padded structure against the cropped coefficient.
     """
     x, unpadded = _image_stack(images, structure, padded_from)
-    c = np.reshape(coeff, structure.dims3, order="F")
+    batch = np.shape(coeff)[3:]
+    c = np.reshape(coeff, structure.dims3 + batch, order="F")
     if unpadded:
         c = c[tuple(slice(0, e) for e in _triple(padded_from))]
-    order = "C" if x.ndim > 2 and x.strides[-1] < x.strides[1] else "F"
-    return x.reshape(x.shape[0], -1, order=order) @ np.ravel(c, order=order)
+    order = _memory_order(x)
+    return x.reshape(x.shape[0], -1, order=order) @ np.reshape(c, (-1,) + batch, order=order)
+
+
+def _weighted_sum(images, w, structure, padded_from=None):
+    """sum_i w_i vec(X_i) at the structure's extents, the adjoint of
+    :func:`_inner_products`: summed in the images' own memory order, so no
+    stack is built.  A non-finite sum is traced to the first image with a
+    non-finite pixel (which spoils the sum even where its weight is 0) and
+    raised as a DimensionError naming it; otherwise it is returned as is.
+    """
+    x, unpadded = _image_stack(images, structure, padded_from)
+    order = _memory_order(x)
+    rows = x.reshape(x.shape[0], -1, order=order)
+    with np.errstate(invalid="ignore", over="ignore"):
+        agg = np.asarray(w, dtype=np.float64) @ rows
+    if not np.all(np.isfinite(agg)):
+        bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
+        if bad.size:
+            raise DimensionError(f"image {bad[0]} has a non-finite pixel")
+    agg = np.reshape(agg, x.shape[1:], order=order)
+    if unpadded:
+        agg = pad_images(agg[None], padded_from, structure.image_dims)[0]
+    return np.reshape(agg, -1, order="F")
 
 
 @dataclass
@@ -410,16 +458,10 @@ def _sign_fix(v):
     return _positive_sign(v) * v
 
 
-def _init_spectral_vec(vec_x, y, structure):
-    """Per-layer spectral seeds plus the unused singular-vector pools."""
-    y = np.asarray(y, dtype=np.float64)
-    with np.errstate(invalid="ignore", over="ignore"):
-        agg = vec_x @ y
+def _spectral_seeds(agg, structure):
+    """Per-layer spectral seeds from the response-weighted aggregate image
+    (a canonical vec), plus the unused singular-vector pools."""
     if not np.all(np.isfinite(agg)):
-        # A NaN or inf pixel spoils the aggregate even where its weight is 0.
-        bad = np.flatnonzero(~np.all(np.isfinite(vec_x), axis=0))
-        if bad.size:
-            raise DimensionError(f"image {bad[0]} has a non-finite pixel")
         raise DegenerateDataError("response-weighted image aggregate overflows")
     if not np.any(agg):
         raise DegenerateDataError("response-weighted image aggregate is zero")
@@ -447,47 +489,48 @@ def init_spectral(images, response, structure):
     Returns {l: [R unit vectors]} including the convention entry at L+1
     (all-ones scalars).
     """
-    vec_x = _vectorize_images(images, structure)
-    left, _ = _init_spectral_vec(vec_x, response, structure)
+    left, _ = _spectral_seeds(_weighted_sum(images, response, structure), structure)
     return left
+
+
+def _contract_lower(t, extents, lo, lo_extents):
+    """Contract a ``(rows, n)`` stack of canonical vecs at per-mode
+    ``extents`` against the lower product ``lo`` at ``lo_extents``.
+
+    Every mode of a canonical vec splits as (lower layers, the rest) with
+    the rest fastest, so the C-order reshape is the copy-free view (q_lo,
+    q_rest, p_lo, p_rest, d_lo, d_rest, n) and the result is the stack at
+    the rest's extents.  The inner loop runs along the n samples.
+    """
+    (d, p, q), (d_lo, p_lo, q_lo) = extents, lo_extents
+    n = t.shape[1]
+    view = t.reshape(q_lo, q // q_lo, p_lo, p // p_lo, d_lo, d // d_lo, n)
+    out = np.einsum("qapbdcn,qpd->abcn", view, np.reshape(lo, (q_lo, p_lo, d_lo)))
+    return out.reshape(-1, n)
+
+
+def _contract_upper(t, extents, up, up_extents):
+    """Contract a ``(rows, n)`` stack of canonical vecs at per-mode
+    ``extents`` against the upper product ``up`` at ``up_extents``, the
+    fastest part of every mode; the mirror of :func:`_contract_lower`."""
+    (d, p, q), (d_up, p_up, q_up) = extents, up_extents
+    n = t.shape[1]
+    view = t.reshape(q // q_up, q_up, p // p_up, p_up, d // d_up, d_up, n)
+    out = np.einsum("aqbpcdn,qpd->abcn", view, np.reshape(up, (q_up, p_up, d_up)))
+    return out.reshape(-1, n)
 
 
 def _design_columns(vec_x, structure, l, left_r, right_r):
     """One term's ``(k, n)`` design block at layer l from its partial-product
-    vectors, k = d_l * p_l * q_l.
-
-    Every mode of a canonical vec splits as (layers 1..l-1, layer l, layers
-    l+1..L) with the upper layers fastest, so the C-order reshape of the
-    voxel-major stack is the copy-free view (q_lo, q_l, q_up, p_lo, p_l,
-    p_up, d_lo, d_l, d_up, n).  The larger partial product is contracted on
-    that view, the smaller one on the reduced array; both contractions run
-    their inner loops along the n samples.
-    """
-    n = vec_x.shape[1]
-    d_lo, p_lo, q_lo = structure.lower_extents(l - 1)
-    d_l, p_l, q_l = structure.factor_dims[l - 1]
-    d_up, p_up, q_up = structure.upper_extents(l + 1)
-    up = np.reshape(left_r, (q_up, p_up, d_up))
-    lo = np.reshape(right_r, (q_lo, p_lo, d_lo))
-
-    def upper(t, a, b, c):  # t holds (a, q_up, b, p_up, c, d_up, n)
-        return np.einsum("aqbpcdn,qpd->abcn", t.reshape(a, q_up, b, p_up, c, d_up, n), up)
-
-    def lower(t, a, b, c):  # t holds (q_lo, a, p_lo, b, d_lo, c, n)
-        return np.einsum("qapbdcn,qpd->abcn", t.reshape(q_lo, a, p_lo, b, d_lo, c, n), lo)
-
-    if up.size >= lo.size:
-        t = lower(upper(vec_x, q_lo * q_l, p_lo * p_l, d_lo * d_l), q_l, p_l, d_l)
-    else:
-        t = upper(lower(vec_x, q_l * q_up, p_l * p_up, d_l * d_up), q_l, p_l, d_l)
-    return t.reshape(-1, n)
-
-
-def _layer_design(vec_x, structure, l, left, right):
-    """The ``(n, R * k)`` layer-l design, one column block per term."""
-    return np.concatenate(
-        [_design_columns(vec_x, structure, l, u, w) for u, w in zip(left, right)]
-    ).T
+    vectors, k = d_l * p_l * q_l: the voxel-major stack contracted against
+    the larger partial product first, then against the smaller one."""
+    dims3 = structure.dims3
+    up_ext, lo_ext = structure.upper_extents(l + 1), structure.lower_extents(l - 1)
+    if np.size(left_r) >= np.size(right_r):
+        t = _contract_upper(vec_x, dims3, left_r, up_ext)
+        return _contract_lower(t, structure.lower_extents(l), right_r, lo_ext)
+    t = _contract_lower(vec_x, dims3, right_r, lo_ext)
+    return _contract_upper(t, structure.upper_extents(l), left_r, up_ext)
 
 
 def build_design(images, structure, l, left, right):
@@ -516,7 +559,9 @@ def build_design(images, structure, l, left, right):
             raise DimensionError(f"term {r + 1}: upper product has {left[r].size} entries, expected {n_up}")
         if right[r].size != n_lo:
             raise DimensionError(f"term {r + 1}: lower product has {right[r].size} entries, expected {n_lo}")
-    return _layer_design(_vectorize_images(images, structure), structure, l, left, right)
+    vec_x = _vectorize_images(images, structure)
+    blocks = [_design_columns(vec_x, structure, l, u, w) for u, w in zip(left, right)]
+    return np.concatenate(blocks).T
 
 
 def partial_products(model, l, side):
@@ -632,6 +677,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     options = options or FitOptions()
     family = glm.get_family(family)
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
+    images = _image_stack(images, structure, padded_from)[0]  # one array, read twice
     vec_x = _vectorize_images(images, structure, padded_from=padded_from)
     y_raw = family.validate_response(response)
     if y_raw.shape != (vec_x.shape[1],):
@@ -664,7 +710,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     if options.trace_factors:
         report.snapshots = []
 
-    left, pools = _init_spectral_vec(vec_x, y, structure)
+    left, pools = _spectral_seeds(_weighted_sum(images, y, structure, padded_from), structure)
     if options.trace_factors:
         report.init_left_products = {l: [v.copy() for v in vs] for l, vs in left.items()}
 
@@ -692,18 +738,28 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     prev_obj = None
     for t in range(1, options.max_sweeps + 1):
         right = [np.ones(1) for _ in range(R)]
+        # low[r]: the stack contracted against term r's lower product right[r].
+        low = [vec_x] * R
         for l in range(1, L + 1):
+            ext = structure.upper_extents(l)
             for r in range(R):
                 if np.linalg.norm(left[l + 1][r]) < COLLAPSE_TOL:
                     left[l + 1][r] = _reseed("left", l, r, t)
                 if np.linalg.norm(right[r]) < COLLAPSE_TOL:
                     right[r] = _reseed("right", l, r, t)
-            design = _layer_design(vec_x, structure, l, left[l + 1], right)
+                    lo_ext = structure.lower_extents(l - 1)
+                    low[r] = _contract_lower(vec_x, structure.dims3, right[r], lo_ext)
+            up_ext = structure.upper_extents(l + 1)
+            design = np.concatenate(
+                [_contract_upper(low[r], ext, left[l + 1][r], up_ext) for r in range(R)]
+            ).T
             beta = _solve_layer(family, design, y, options.ridge)
             for r, f in enumerate(_split_beta(beta, structure, l)):
                 factors[r][l - 1] = f
                 prev = unvec(right[r], structure.lower_extents(l - 1))
                 right[r] = vec(tkp(f, prev))
+                if l < L:  # carry the chain up one layer
+                    low[r] = _contract_lower(low[r], ext, vec(f), structure.factor_dims[l - 1])
         # Downward pass: recompose the upper products from this sweep's factors.
         for l in range(L, 0, -1):
             if l not in left:
@@ -712,11 +768,12 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
                 upper = unvec(left[l + 1][r], structure.upper_extents(l + 1))
                 left[l][r] = vec(tkp(upper, factors[r][l - 1]))
 
-        coeff_vec = np.sum([right[r] for r in range(R)], axis=0)
-        obj = glm.nll_eta(family, coeff_vec @ vec_x, y)
+        # The layer-L design is the stack contracted against every lower
+        # product, so design @ beta is the coefficient's linear predictor.
+        obj = glm.nll_eta(family, design @ beta, y)
         report.objective_trace.append(obj)
         if truth_vec is not None:
-            report.dist_trace.append(dist(coeff_vec, truth_vec))
+            report.dist_trace.append(dist(np.sum(right, axis=0), truth_vec))
         if options.trace_factors:
             report.snapshots.append(copy.deepcopy(factors))
         report.sweeps = t

@@ -383,6 +383,23 @@ def test_probe_rip_prefix_reproducible_and_monotone():
     assert abs(full.witness_ratio - 1.0) == pytest.approx(full.delta_hat, rel=1e-12)
 
 
+def test_probe_rip_partial_blocks_match_single_probes():
+    """A probe count that leaves the last block part-filled gives the same
+    ratios, bit for bit, as a longer run, and each equals its own probe's
+    ratio computed alone."""
+    g = rng.stream(25, rng.PURPOSE_IMAGES, 0)
+    images = g.standard_normal((120, 8, 8))
+    full = probe_rip(images, S883, n_probes=23, seed=6)
+    vx = images.reshape(120, -1, order="F")
+    for j, ratio in enumerate(full.ratios):
+        p = rng.stream(6, rng.PURPOSE_PROBE, j)
+        c = compose_coeff([[p.standard_normal(fd) for fd in S883.factor_dims] for _ in range(2)])
+        want = float(np.sum((vx @ vec(c)) ** 2)) / (120 * float(np.sum(c * c)))
+        assert_allclose(ratio, want, rtol=1e-12)
+    for n_probes in (1, 7, 13):
+        assert probe_rip(images, S883, n_probes=n_probes, seed=6).ratios == full.ratios[:n_probes]
+
+
 def test_probe_rip_validation():
     images = np.zeros((4, 8, 8))
     with pytest.raises(DimensionError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dkn.dkn_fit as dkn_fit
+from dkn import rng as rng_mod
 from dkn.dkn_fit import (
     DknModel,
     DknStructure,
@@ -31,7 +32,7 @@ from dkn.cli import _load_images_dir
 from dkn.dkn_fit import _vectorize_images
 from dkn.errors import DataFormatError, DegenerateDataError, DimensionError
 from dkn.glm import BERNOULLI, GAUSSIAN, nll_eta
-from dkn.kron_ops import compose_coeff, kron_chain, reshape_R_indices
+from dkn.kron_ops import compose_coeff, kron_chain, reshape_R_indices, tkp
 from dkn.tensor_core import dist, inner, unvec, vec, write_dkt
 
 S883 = DknStructure(image_dims=(8, 8), factor_dims=[(2, 2), (2, 2), (2, 2)])
@@ -167,6 +168,31 @@ def test_vectorize_images_layouts():
         _vectorize_images(rng.standard_normal((6, 8, 4)), S883)
 
 
+def test_weighted_sum_is_the_stack_adjoint_for_every_layout():
+    """sum_i w_i vec(X_i), summed in the images' own memory order, equals
+    the voxel-major stack times w for every accepted layout, and for
+    unpadded images of a padded structure."""
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((6, 8, 8))
+    w = rng.standard_normal(6)
+    want = _vectorize_images(x, S883) @ w
+    layouts = {
+        "stack": x,
+        "list": [x[i] for i in range(6)],
+        "dims3": x.reshape(6, 8, 8, 1),
+        "column-major images": np.stack([np.asfortranarray(t) for t in x]),
+        "fully column-major": np.asfortranarray(x),
+        "canonical rows": np.stack([vec(t) for t in x]),
+    }
+    for name, images in layouts.items():
+        assert_allclose(dkn_fit._weighted_sum(images, w, S883), want, rtol=1e-12, err_msg=name)
+    structure, padded_from = auto_structure((6, 5))
+    small = rng.standard_normal((6, 6, 5))
+    padded = _vectorize_images(small, structure, padded_from) @ w
+    got = dkn_fit._weighted_sum(small, w, structure, padded_from)
+    assert_allclose(got, padded, rtol=1e-12)
+
+
 def test_build_design_reproduces_linear_predictor():
     """The per-layer design times the stacked layer factors must equal the
     model's inner products exactly, at every layer and rank."""
@@ -228,6 +254,149 @@ def test_build_design_matches_gather(dims, rank, n, seed):
         scale = gather_design(np.abs(rows), structure, l, np.abs(left), np.abs(right))
         assert got.shape == (n, rank * structure.layer_size(l))
         assert_allclose(got, want, rtol=1e-12, atol=1e-12 * float(scale.max()))
+
+
+def record_designs(mp):
+    """Patch ``dkn_fit._solve_layer`` to keep a copy of every design it is
+    handed, in call order: one per (sweep, layer)."""
+    designs = []
+    solve = dkn_fit._solve_layer
+
+    def spy(family, design, y, ridge):
+        designs.append(np.array(design))
+        return solve(family, design, y, ridge)
+
+    mp.setattr(dkn_fit, "_solve_layer", spy)
+    return designs
+
+
+def sweep_partial_products(report, structure, seed):
+    """(upper, lower) products of every (sweep, layer) solve, rebuilt from a
+    fit report: upper products from the spectral seeds in sweep 1 and from
+    the previous sweep's factors after it; lower products from this sweep's
+    factors, restarted from the seeded stream at each lower-side reseed."""
+    L, R = structure.depth, structure.rank
+    out = []
+    for t, factors in enumerate(report.snapshots, start=1):
+        if t == 1:
+            ups = report.init_left_products
+        else:
+            prev = DknModel(structure=structure, factors=report.snapshots[t - 2])
+            ups = {l: partial_products(prev, l, "left") for l in range(2, L + 2)}
+        lows = [np.ones(1)] * R
+        for l in range(1, L + 1):
+            for k, e in enumerate(report.collapse_events):
+                assert e["side"] == "right"  # upper reseeds are not rebuilt here
+                if (e["sweep"], e["layer"]) == (t, l):
+                    v = rng_mod.stream(seed, rng_mod.PURPOSE_RESEED, k).standard_normal(
+                        lows[e["term"] - 1].size
+                    )
+                    lows[e["term"] - 1] = v / np.linalg.norm(v)
+            out.append((ups[l + 1], lows))
+            lows = [
+                vec(tkp(factors[r][l - 1], unvec(lows[r], structure.lower_extents(l - 1))))
+                for r in range(R)
+            ]
+    return out
+
+
+def assert_sweep_designs_match_gather(images, y, structure, family, options, padded_from=None):
+    with pytest.MonkeyPatch.context() as mp:
+        designs = record_designs(mp)
+        _, report = fit(images, y, structure, family=family, options=options, padded_from=padded_from)
+    products = sweep_partial_products(report, structure, options.seed)
+    assert len(designs) == len(products) == report.sweeps * structure.depth
+    if padded_from is not None:
+        images = pad_images(images, padded_from, structure.image_dims)
+    rows = np.stack([vec(x) for x in images])
+    for i, (got, (left, right)) in enumerate(zip(designs, products)):
+        l = i % structure.depth + 1
+        want = gather_design(rows, structure, l, left, right)
+        scale = gather_design(np.abs(rows), structure, l, np.abs(left), np.abs(right))
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * float(scale.max()))
+    return report
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12, 20)), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(("gaussian", "bernoulli")),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example([5], 3, "gaussian", 0)
+@example([12, 20], 2, "bernoulli", 1)
+@example([5, 12, 20], 3, "gaussian", 2)
+def test_fit_sweep_designs_match_gather(dims, rank, family, seed):
+    """Every design the sweep solves, built from the lower chain it carries
+    up the sweep, equals the gathered design at that sweep's partial
+    products: spectral seeds in sweep 1, chains of factors in sweep 2."""
+    structure, _ = auto_structure(dims, 1)
+    # The spectral init needs rank R directions at every layer boundary.
+    cap = min(
+        min(np.prod(structure.upper_extents(l)), np.prod(structure.lower_extents(l - 1)))
+        for l in range(2, structure.depth + 1)
+    )
+    structure = replace(structure, rank=int(min(rank, cap)))
+    rng = np.random.default_rng(seed)
+    # Bernoulli labels need many more images than design columns, or the
+    # data are separable and the layer solves fail.
+    cols = structure.rank * max(structure.layer_size(l) for l in range(1, structure.depth + 1))
+    n = 24 if family == "gaussian" else 6 * cols + 16
+    images = rng.standard_normal((n,) + structure.image_dims)
+    y = rng.standard_normal(n) if family == "gaussian" else (rng.random(n) < 0.5) * 1.0
+    y[0] = 1.0
+    assert_sweep_designs_match_gather(
+        images, y, structure, family, FitOptions(max_sweeps=2, tol=0.0, trace_factors=True)
+    )
+
+
+@pytest.mark.parametrize(
+    "dims, rank, family",
+    [((5,), 2, "gaussian"), ((7, 12), 2, "bernoulli"), ((5, 6, 12), 3, "gaussian")],
+)
+def test_fit_sweep_designs_match_gather_from_unpadded_images(dims, rank, family):
+    """Images handed to ``fit`` at their original extents are zero-padded
+    into the stack the chain starts from; its designs still equal the
+    gathered designs of the padded images."""
+    structure, padded_from = auto_structure(dims, rank)
+    assert padded_from == dims
+    rng = np.random.default_rng(sum(dims))
+    n = 40 if family == "gaussian" else 240
+    images = rng.standard_normal((n,) + dims)
+    y = rng.standard_normal(n) if family == "gaussian" else (rng.random(n) < 0.5) * 1.0
+    options = FitOptions(max_sweeps=2, tol=0.0, trace_factors=True)
+    assert_sweep_designs_match_gather(images, y, structure, family, options, padded_from)
+
+
+def test_fit_sweep_designs_match_gather_after_lower_reseed(monkeypatch):
+    """A reseeded lower product restarts that term's chain mid-sweep: with a
+    tiny response every factor is tiny, so each lower product after layer 1
+    falls under the patched collapse threshold and is reseeded."""
+    monkeypatch.setattr(dkn_fit, "COLLAPSE_TOL", 1e-4)
+    structure = DknStructure(image_dims=(8, 12), factor_dims=[(2, 2), (2, 2), (2, 3)], rank=2)
+    rng = np.random.default_rng(23)
+    images = rng.standard_normal((30, 8, 12))
+    y = 1e-9 * rng.standard_normal(30)
+    options = FitOptions(max_sweeps=1, tol=0.0, trace_factors=True, ridge=0.0, seed=4)
+    report = assert_sweep_designs_match_gather(images, y, structure, "gaussian", options)
+    assert {(e["layer"], e["side"]) for e in report.collapse_events} == {(2, "right"), (3, "right")}
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+def test_fit_objective_is_the_coefficient_nll(family):
+    """The objective the sweep records, taken from the layer-L design, is the
+    nll of the sweep's composed coefficient over the stack, to rounding."""
+    structure = DknStructure(image_dims=(8, 12), factor_dims=[(2, 2), (2, 2), (2, 3)], rank=2)
+    rng = np.random.default_rng(24)
+    images = rng.standard_normal((60, 8, 12))
+    y = rng.standard_normal(60) if family == "gaussian" else (rng.random(60) < 0.5) * 1.0
+    options = FitOptions(max_sweeps=4, tol=0.0, trace_factors=True)
+    _, report = fit(images, y, structure, family=family, options=options)
+    vec_x = _vectorize_images(images, structure)
+    fam = GAUSSIAN if family == "gaussian" else BERNOULLI
+    want = [nll_eta(fam, vec(compose_coeff(f)) @ vec_x, y) for f in report.snapshots]
+    assert_allclose(report.objective_trace, want, rtol=1e-12)
 
 
 def test_build_design_validation():
