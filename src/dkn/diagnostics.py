@@ -32,15 +32,15 @@ from . import rng
 from .dkn_fit import (
     DknModel,
     DknStructure,
-    _design_columns,
     _image_stack,
     _inner_products,
+    _layer_design,
     _sign_fix,
     _weighted_sum,
     init_spectral,
 )
 from .errors import DegenerateDataError, DimensionError
-from .kron_ops import compose_coeff, reshape_R_indices
+from .kron_ops import _contract_lower, compose_coeff, reshape_R_indices
 from .tensor_core import dist, vec
 
 __all__ = [
@@ -159,7 +159,8 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0):
             w = g.standard_normal(int(np.prod(structure.lower_extents(l - 1))))
             u /= np.linalg.norm(u)
             w /= np.linalg.norm(w)
-            row = _design_columns(agg, structure, l, u, w)
+            low = _contract_lower(agg, structure.dims3, w, structure.lower_extents(l - 1))
+            row = _layer_design([low], [u], structure, l)
             worst = max(worst, float(np.linalg.norm(row) / n))
     return worst
 

@@ -17,17 +17,17 @@ Images enter as an (n, *image_dims) stack (a list of tensors or an
 (n, prod(dims)) matrix of canonical vecs is also accepted).  The solver
 copies them once into a voxel-major stack, (n_voxels, n) with the samples
 fastest.  Every design is that stack contracted against the partial
-products, through copy-free views with inner loops that run along the
-samples (the batched form of ``kron_ops.nonoverlap_conv``).  ``fit``
-carries a lower chain up each sweep, as in ``kron_ops.conv_chain_eval``:
-the stack contracted against this sweep's new factors B_1..B_{l-1}, which
-shrinks by |B_l| at every layer.  Layer l's design is that chain contracted
-against the upper product, so a sweep costs about 2 (1 + 1/|B_1| + ...)
-passes over the stack, and the sweep objective comes from the layer-L
-design.  ``build_design`` and ``sweep_update`` contract the full stack
-against both products.  The response-weighted aggregate, prediction and
-the BIC need only sums over images; they take the images in their own
-memory order and build no stack.
+products by the contraction primitive in ``kron_ops`` (the batched
+``nonoverlap_conv``): ``_layer_design`` contracts each term's stack,
+already contracted against its lower product, against its upper product.
+``fit`` carries that lower chain up each sweep, as in ``conv_chain_eval``,
+shrinking it by |B_l| at every layer, so a sweep costs about
+2 (1 + 1/|B_1| + ...) passes over the stack, and the sweep objective comes
+from the layer-L design.  ``build_design`` (so ``sweep_update``) and
+``diagnostics.probe_tau0`` contract the full stack, or one aggregate
+image, against each lower product first.  The response-weighted aggregate,
+prediction and the BIC need only sums over images; they take the images in
+their own memory order and build no stack.
 """
 
 import copy
@@ -46,7 +46,7 @@ from .errors import (
     DimensionError,
     RankDeficiencyError,
 )
-from .kron_ops import _triple, compose_coeff, reshape_R_indices, tkp
+from .kron_ops import _contract_lower, _contract_upper, _triple, compose_coeff, reshape_R_indices, tkp
 from .tensor_core import dist, read_dkt, unvec, vec, write_dkt
 
 __all__ = [
@@ -493,44 +493,32 @@ def init_spectral(images, response, structure):
     return left
 
 
-def _contract_lower(t, extents, lo, lo_extents):
-    """Contract a ``(rows, n)`` stack of canonical vecs at per-mode
-    ``extents`` against the lower product ``lo`` at ``lo_extents``.
-
-    Every mode of a canonical vec splits as (lower layers, the rest) with
-    the rest fastest, so the C-order reshape is the copy-free view (q_lo,
-    q_rest, p_lo, p_rest, d_lo, d_rest, n) and the result is the stack at
-    the rest's extents.  The inner loop runs along the n samples.
-    """
-    (d, p, q), (d_lo, p_lo, q_lo) = extents, lo_extents
-    n = t.shape[1]
-    view = t.reshape(q_lo, q // q_lo, p_lo, p // p_lo, d_lo, d // d_lo, n)
-    out = np.einsum("qapbdcn,qpd->abcn", view, np.reshape(lo, (q_lo, p_lo, d_lo)))
-    return out.reshape(-1, n)
+def _check_layer(structure, l):
+    if not 1 <= l <= structure.depth:
+        raise DimensionError(f"layer {l} outside 1..{structure.depth}")
 
 
-def _contract_upper(t, extents, up, up_extents):
-    """Contract a ``(rows, n)`` stack of canonical vecs at per-mode
-    ``extents`` against the upper product ``up`` at ``up_extents``, the
-    fastest part of every mode; the mirror of :func:`_contract_lower`."""
-    (d, p, q), (d_up, p_up, q_up) = extents, up_extents
-    n = t.shape[1]
-    view = t.reshape(q // q_up, q_up, p // p_up, p_up, d // d_up, d_up, n)
-    out = np.einsum("aqbpcdn,qpd->abcn", view, np.reshape(up, (q_up, p_up, d_up)))
-    return out.reshape(-1, n)
+def _layer_design(lows, ups, structure, l):
+    """The layer-l design, ``(n, R * d_l * p_l * q_l)``, from each term's
+    stack already contracted against its lower product (layers 1..l-1) and
+    its upper product (layers l+1..L).  Column block r multiplies term r's
+    layer-l factor.  ``lows`` may be a generator: each of its stacks is
+    released once contracted, so only one is held at a time."""
+    ext, up_ext = structure.upper_extents(l), structure.upper_extents(l + 1)
+    lows = iter(lows)
+    return np.concatenate([_contract_upper(next(lows), ext, u, up_ext) for u in ups]).T
 
 
-def _design_columns(vec_x, structure, l, left_r, right_r):
-    """One term's ``(k, n)`` design block at layer l from its partial-product
-    vectors, k = d_l * p_l * q_l: the voxel-major stack contracted against
-    the larger partial product first, then against the smaller one."""
-    dims3 = structure.dims3
-    up_ext, lo_ext = structure.upper_extents(l + 1), structure.lower_extents(l - 1)
-    if np.size(left_r) >= np.size(right_r):
-        t = _contract_upper(vec_x, dims3, left_r, up_ext)
-        return _contract_lower(t, structure.lower_extents(l), right_r, lo_ext)
-    t = _contract_lower(vec_x, dims3, right_r, lo_ext)
-    return _contract_upper(t, structure.upper_extents(l), left_r, up_ext)
+def _grow_products(prods, factors, structure, l, side):
+    """Every term's partial product extended by its layer-l factor, as
+    canonical vecs: upper products (layers l+1..L) become layers l..L as
+    ``tkp(upper, B_l)``, lower products (layers 1..l-1) become layers 1..l
+    as ``tkp(B_l, lower)``."""
+    if side == "left":
+        ext = structure.upper_extents(l + 1)
+        return [vec(tkp(unvec(p, ext), f)) for p, f in zip(prods, factors)]
+    ext = structure.lower_extents(l - 1)
+    return [vec(tkp(f, unvec(p, ext))) for p, f in zip(prods, factors)]
 
 
 def build_design(images, structure, l, left, right):
@@ -543,8 +531,7 @@ def build_design(images, structure, l, left, right):
     model's linear predictor exactly.  Each call transposes ``images``
     (rows of canonical vecs included) into the voxel-major stack once.
     """
-    if not 1 <= l <= structure.depth:
-        raise DimensionError(f"layer {l} outside 1..{structure.depth}")
+    _check_layer(structure, l)
     left = [np.asarray(v, dtype=np.float64).ravel() for v in left]
     right = [np.asarray(v, dtype=np.float64).ravel() for v in right]
     if len(left) != structure.rank or len(right) != structure.rank:
@@ -560,8 +547,9 @@ def build_design(images, structure, l, left, right):
         if right[r].size != n_lo:
             raise DimensionError(f"term {r + 1}: lower product has {right[r].size} entries, expected {n_lo}")
     vec_x = _vectorize_images(images, structure)
-    blocks = [_design_columns(vec_x, structure, l, u, w) for u, w in zip(left, right)]
-    return np.concatenate(blocks).T
+    lo_ext = structure.lower_extents(l - 1)
+    lows = (_contract_lower(vec_x, structure.dims3, w, lo_ext) for w in right)
+    return _layer_design(lows, left, structure, l)
 
 
 def partial_products(model, l, side):
@@ -571,27 +559,15 @@ def partial_products(model, l, side):
     """
     structure = model.structure
     L = structure.depth
-    if side == "left":
-        if not 1 <= l <= L + 1:
-            raise DimensionError(f"left products need 1 <= l <= {L + 1}, got {l}")
-        out = []
-        for chain in model.factors:
-            acc = np.ones((1, 1, 1))
-            for k in range(L, l - 1, -1):
-                acc = tkp(acc, chain[k - 1])
-            out.append(vec(acc))
-        return out
-    if side == "right":
-        if not 0 <= l <= L:
-            raise DimensionError(f"right products need 0 <= l <= {L}, got {l}")
-        out = []
-        for chain in model.factors:
-            acc = np.ones((1, 1, 1))
-            for k in range(1, l + 1):
-                acc = tkp(chain[k - 1], acc)
-            out.append(vec(acc))
-        return out
-    raise DimensionError(f"side must be 'left' or 'right', got {side!r}")
+    if side not in ("left", "right"):
+        raise DimensionError(f"side must be 'left' or 'right', got {side!r}")
+    lo, hi, layers = (1, L + 1, range(L, l - 1, -1)) if side == "left" else (0, L, range(1, l + 1))
+    if not lo <= l <= hi:
+        raise DimensionError(f"{side} products need {lo} <= l <= {hi}, got {l}")
+    prods = [np.ones(1) for _ in range(structure.rank)]
+    for k in layers:
+        prods = _grow_products(prods, [chain[k - 1] for chain in model.factors], structure, k, side)
+    return prods
 
 
 def _split_beta(beta, structure, l):
@@ -618,9 +594,10 @@ def sweep_update(model, images, response, family=None, l=1, options=None, left=N
     current factors; pass ``left`` explicitly to reproduce the sweep
     schedule, where they lag one sweep behind.
     """
+    structure = model.structure
+    _check_layer(structure, l)
     options = options or FitOptions()
     family = glm.get_family(family or model.family)
-    structure = model.structure
     if left is None:
         left = partial_products(model, l + 1, "left")
     right = partial_products(model, l - 1, "right")
@@ -630,13 +607,7 @@ def sweep_update(model, images, response, family=None, l=1, options=None, left=N
     new_factors = copy.deepcopy(model.factors)
     for r, f in enumerate(_split_beta(beta, structure, l)):
         new_factors[r][l - 1] = f
-    updated = DknModel(
-        structure=structure,
-        factors=new_factors,
-        family=family.name,
-        intercept=model.intercept,
-        padded_from=model.padded_from,
-    )
+    updated = replace(model, factors=new_factors, family=family.name)
     info = {"layer": l, "objective": glm.nll(family, design, beta, y)}
     return updated, info
 
@@ -749,24 +720,18 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
                     right[r] = _reseed("right", l, r, t)
                     lo_ext = structure.lower_extents(l - 1)
                     low[r] = _contract_lower(vec_x, structure.dims3, right[r], lo_ext)
-            up_ext = structure.upper_extents(l + 1)
-            design = np.concatenate(
-                [_contract_upper(low[r], ext, left[l + 1][r], up_ext) for r in range(R)]
-            ).T
+            design = _layer_design(low, left[l + 1], structure, l)
             beta = _solve_layer(family, design, y, options.ridge)
-            for r, f in enumerate(_split_beta(beta, structure, l)):
+            layer = _split_beta(beta, structure, l)
+            for r, f in enumerate(layer):
                 factors[r][l - 1] = f
-                prev = unvec(right[r], structure.lower_extents(l - 1))
-                right[r] = vec(tkp(f, prev))
                 if l < L:  # carry the chain up one layer
                     low[r] = _contract_lower(low[r], ext, vec(f), structure.factor_dims[l - 1])
+            right = _grow_products(right, layer, structure, l, "right")
         # Downward pass: recompose the upper products from this sweep's factors.
-        for l in range(L, 0, -1):
-            if l not in left:
-                left[l] = [None] * R
-            for r in range(R):
-                upper = unvec(left[l + 1][r], structure.upper_extents(l + 1))
-                left[l][r] = vec(tkp(upper, factors[r][l - 1]))
+        for l in range(L, 1, -1):
+            layer = [chain[l - 1] for chain in factors]
+            left[l] = _grow_products(left[l + 1], layer, structure, l, "left")
 
         # The layer-L design is the stack contracted against every lower
         # product, so design @ beta is the coefficient's linear predictor.
@@ -828,13 +793,7 @@ def normalize(model):
         new_factors.append(new_chain)
         lams.append(float(np.linalg.norm(new_chain[0].ravel())))
     order = np.argsort(-np.asarray(lams), kind="stable")
-    return DknModel(
-        structure=structure,
-        factors=[new_factors[i] for i in order],
-        family=model.family,
-        intercept=model.intercept,
-        padded_from=model.padded_from,
-    )
+    return replace(model, factors=[new_factors[i] for i in order])
 
 
 def _linear_predictor(model, images):

@@ -110,6 +110,10 @@ def get_family(name):
         raise DimensionError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}") from None
 
 
+def _nll(family, eta, y):
+    return float(np.sum(family.psi(eta) - y * eta))
+
+
 def nll_eta(family, eta, y):
     """Negative log-likelihood sum(psi(eta) - y*eta) for a given predictor."""
     family = get_family(family)
@@ -117,7 +121,7 @@ def nll_eta(family, eta, y):
     y = family.validate_response(y)
     if eta.shape != y.shape:
         raise DimensionError(f"predictor/response length mismatch: {eta.shape} vs {y.shape}")
-    return float(np.sum(family.psi(eta) - y * eta))
+    return _nll(family, eta, y)
 
 
 def nll(family, design, beta, y):
@@ -199,16 +203,17 @@ def fit_glm(family, design, y, ridge=None, return_info=False):
             return beta, {"iterations": 1, "objective_trace": [obj], "converged": True}
         return beta
 
-    # IRLS for bernoulli.
+    # IRLS for bernoulli; y was validated above, so the loop skips the check.
     def penalized(b):
-        return nll(family, design, b, y) + 0.5 * lam * float(b @ b)
+        """The penalized objective at b, and its linear predictor."""
+        eta = design @ b
+        return _nll(family, eta, y) + 0.5 * lam * float(b @ b), eta
 
     beta = np.zeros(m)
-    obj = penalized(beta)
+    obj, eta = penalized(beta)
     trace = [obj]
     converged = False
     for _ in range(IRLS_MAX_ITER):
-        eta = design @ beta
         grad = design.T @ (family.mean(eta) - y) + lam * beta
         if np.max(np.abs(grad)) <= IRLS_GRAD_TOL * (1.0 + abs(obj)):
             converged = True
@@ -222,7 +227,7 @@ def fit_glm(family, design, y, ridge=None, return_info=False):
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
             cand = beta + alpha * step
-            cand_obj = penalized(cand)
+            cand_obj, cand_eta = penalized(cand)
             if cand_obj <= obj:
                 break
             alpha *= 0.5
@@ -230,10 +235,9 @@ def fit_glm(family, design, y, ridge=None, return_info=False):
             # No descent along the Newton direction: accept convergence only
             # if the gradient is already tiny, otherwise treat as failure.
             raise ConvergenceError("IRLS: step halving failed to find descent", beta)
-        beta, obj = cand, cand_obj
+        beta, obj, eta = cand, cand_obj, cand_eta
         trace.append(obj)
     else:
-        eta = design @ beta
         grad = design.T @ (family.mean(eta) - y) + lam * beta
         if np.max(np.abs(grad)) <= IRLS_GRAD_TOL * (1.0 + abs(obj)):
             converged = True

@@ -17,6 +17,12 @@ Two reshaping operators expose the multilinear structure:
   outer products, mode l varying with vec(B_l).
 
 Both are pure index permutations: entries are moved, never combined.
+
+``_contract_lower`` and its mirror ``_contract_upper`` are the one
+contraction of a ``(rows, n)`` stack of canonical vecs against the lower
+(slowest) or upper (fastest) part of every mode of a Kronecker chain:
+``dkn_fit.fit``, ``dkn_fit.build_design``, ``diagnostics.probe_tau0`` and
+``nonoverlap_conv`` (on a one-image stack) all go through them.
 """
 
 from functools import lru_cache, reduce
@@ -165,6 +171,33 @@ def reshape_T(c, factor_dims):
     return t.reshape([f[0] * f[1] * f[2] for f in fd], order="F")
 
 
+def _contract_lower(t, extents, lo, lo_extents):
+    """Contract a ``(rows, n)`` stack of canonical vecs at per-mode
+    ``extents`` against the lower product ``lo`` at ``lo_extents``.
+
+    Every mode of a canonical vec splits as (lower layers, the rest) with
+    the rest fastest, so the C-order reshape is the copy-free view (q_lo,
+    q_rest, p_lo, p_rest, d_lo, d_rest, n) and the result is the stack at
+    the rest's extents.  The inner loop runs along the n samples.
+    """
+    (d, p, q), (d_lo, p_lo, q_lo) = extents, lo_extents
+    n = t.shape[1]
+    view = t.reshape(q_lo, q // q_lo, p_lo, p // p_lo, d_lo, d // d_lo, n)
+    out = np.einsum("qapbdcn,qpd->abcn", view, np.reshape(lo, (q_lo, p_lo, d_lo)))
+    return out.reshape(-1, n)
+
+
+def _contract_upper(t, extents, up, up_extents):
+    """Contract a ``(rows, n)`` stack of canonical vecs at per-mode
+    ``extents`` against the upper product ``up`` at ``up_extents``, the
+    fastest part of every mode; the mirror of :func:`_contract_lower`."""
+    (d, p, q), (d_up, p_up, q_up) = extents, up_extents
+    n = t.shape[1]
+    view = t.reshape(q // q_up, q_up, p // p_up, p_up, d // d_up, d_up, n)
+    out = np.einsum("aqbpcdn,qpd->abcn", view, np.reshape(up, (q_up, p_up, d_up)))
+    return out.reshape(-1, n)
+
+
 def nonoverlap_conv(x, b):
     """Non-overlapping convolution of ``x`` with kernel ``b``.
 
@@ -172,21 +205,19 @@ def nonoverlap_conv(x, b):
     output has extents ``x.shape / b.shape`` and entry (h, j, k) is the
     inner product of ``b`` with the sub-lattice of ``x`` at offset
     (h, j, k) and per-mode stride equal to the output extents.  With this
-    gather, ``nonoverlap_conv(tkp(a, b), b) == fro_norm(b)**2 * a``.
+    gather, ``nonoverlap_conv(tkp(a, b), b) == fro_norm(b)**2 * a``.  It is
+    :func:`_contract_lower` on the one-image stack ``vec(x)``.
     """
     x = np.asarray(x, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if x.ndim != b.ndim:
         raise DimensionError(f"order mismatch: {x.ndim} vs {b.ndim}")
-    ndim = x.ndim
     x3, b3 = _lift3(x), _lift3(b)
     for n, m in zip(x3.shape, b3.shape):
         if n % m != 0:
             raise DimensionError(f"kernel extents {b.shape} do not divide {x.shape}")
-    od, op, oq = (n // m for n, m in zip(x3.shape, b3.shape))
-    x6 = x3.reshape((od, b3.shape[0], op, b3.shape[1], oq, b3.shape[2]), order="F")
-    out = np.einsum("aubvcw,uvw->abc", x6, b3)
-    return out.reshape(out.shape[:ndim], order="F")
+    out = _contract_lower(vec(x3)[:, None], x3.shape, vec(b3), b3.shape)
+    return out.reshape([n // m for n, m in zip(x.shape, b.shape)], order="F")
 
 
 def conv_chain_eval(x, factors):

@@ -31,7 +31,7 @@ from dkn.dkn_fit import (
 from dkn.cli import _load_images_dir
 from dkn.dkn_fit import _vectorize_images
 from dkn.errors import DataFormatError, DegenerateDataError, DimensionError
-from dkn.glm import BERNOULLI, GAUSSIAN, nll_eta
+from dkn.glm import BERNOULLI, GAUSSIAN, IRLS_GRAD_TOL, nll_eta
 from dkn.kron_ops import compose_coeff, kron_chain, reshape_R_indices, tkp
 from dkn.tensor_core import dist, inner, unvec, vec, write_dkt
 
@@ -496,6 +496,55 @@ def test_sweep_update_keeps_truth_fixed():
         assert info["objective"] <= 1e-10
         for got, want in zip(updated.factors[0], chains[0]):
             assert_allclose(got, want, rtol=1e-8, atol=1e-10)
+
+
+def test_sweep_update_names_the_layer_out_of_range():
+    images, y, _, chains = noiseless_problem(8, 20, S883)
+    model = DknModel(structure=S883, factors=chains)
+    for l in (0, 4):
+        with pytest.raises(DimensionError, match=f"^layer {l} outside 1..3$"):
+            sweep_update(model, images, y, l=l)
+
+
+@pytest.mark.parametrize("family, rank", [("gaussian", 2), ("bernoulli", 1)])
+def test_layer_solves_are_block_coordinate_descent(family, rank):
+    """From sweep 2 on, each layer solve minimizes a convex subproblem whose
+    feasible set holds the current factor (upper products lag one sweep,
+    lower ones are this sweep's), so with ridge 0 and no reseed no layer
+    raises the NLL.  Gaussian solves are exact, up to rounding; IRLS stops
+    at its gradient tolerance, which bounds how far above the minimum it
+    may end."""
+    structure = DknStructure(
+        image_dims=(8, 12), factor_dims=[(2, 2), (2, 2), (2, 3)], rank=rank
+    )
+    rng = np.random.default_rng(25)
+    chains = random_chains(rng, structure)
+    images = rng.standard_normal((300, 8, 12))
+    eta = np.array([inner(x, compose_image(chains, structure)) for x in images])
+    if family == "gaussian":
+        y = eta + rng.standard_normal(300)
+    else:
+        y = (rng.random(300) < 1.0 / (1.0 + np.exp(-eta / np.std(eta)))) * 1.0
+    fam = GAUSSIAN if family == "gaussian" else BERNOULLI
+    nlls = []
+    solve = dkn_fit._solve_layer
+
+    def spy(family, design, y, ridge):
+        assert ridge == 0.0
+        beta = solve(family, design, y, ridge)
+        nlls.append(nll_eta(family, design @ beta, y))
+        return beta
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dkn_fit, "_solve_layer", spy)
+        options = FitOptions(max_sweeps=8, tol=0.0, ridge=0.0)
+        _, report = fit(images, y, structure, family=fam, options=options)
+    assert report.collapse_events == []
+    assert len(nlls) == 8 * structure.depth
+    for i in range(structure.depth, len(nlls)):
+        prev = nlls[i - 1]
+        slack = 1e-10 * abs(prev) if family == "gaussian" else IRLS_GRAD_TOL * (1.0 + abs(prev))
+        assert nlls[i] <= prev + slack, (i, nlls[i], prev)
 
 
 def test_fit_sweeps_match_manual_schedule():

@@ -8,6 +8,9 @@ from numpy.testing import assert_allclose
 
 from dkn.errors import DimensionError
 from dkn.kron_ops import (
+    _contract_lower,
+    _contract_upper,
+    _triple,
     compose_coeff,
     conv_chain_eval,
     kron_chain,
@@ -17,7 +20,7 @@ from dkn.kron_ops import (
     reshape_T,
     tkp,
 )
-from dkn.tensor_core import dist, fro_norm, inner, vec
+from dkn.tensor_core import dist, fro_norm, inner, unvec, vec
 
 
 def chain_oracle(factors):
@@ -240,23 +243,89 @@ def test_regroup_extent_validation():
         reshape_T(np.zeros((4, 4)), [])
 
 
+def conv_oracle(x, b):
+    """The einsum ``nonoverlap_conv`` ran before it became ``_contract_lower``
+    on a one-image stack; kept as the oracle for that primitive."""
+    x3 = x.reshape(_triple(x.shape), order="F")
+    b3 = b.reshape(_triple(b.shape), order="F")
+    od, op, oq = (n // m for n, m in zip(x3.shape, b3.shape))
+    x6 = x3.reshape((od, b3.shape[0], op, b3.shape[1], oq, b3.shape[2]), order="F")
+    return np.einsum("aubvcw,uvw->abc", x6, b3)
+
+
+def upper_entry_formula(x, b):
+    """out[h,j,k] = sum_uvw b[u,v,w] * x[u + bd*h, v + bp*j, w + bq*k]: the
+    kernel is the fastest part of each mode."""
+    x3 = x.reshape(_triple(x.shape), order="F")
+    b3 = b.reshape(_triple(b.shape), order="F")
+    bd, bp, bq = b3.shape
+    out = np.zeros([n // m for n, m in zip(x3.shape, b3.shape)])
+    for u in range(bd):
+        for v in range(bp):
+            for w in range(bq):
+                out += b3[u, v, w] * x3[u::bd, v::bp, w::bq]
+    return out
+
+
 def test_conv_entry_formula():
-    """out[h,j,k] = sum_uvw b[u,v,w] * x[h + od*u, j + op*v, k + oq*w]."""
+    """out[h,j,k] = sum_uvw b[u,v,w] * x[h + od*u, j + op*v, k + oq*w] for
+    ``nonoverlap_conv`` and its oracle, the kernel the slowest part of each
+    mode; ``_contract_upper`` takes the kernel as the fastest part instead."""
     rng = np.random.default_rng(14)
     x = rng.standard_normal((4, 6, 2))
     b = rng.standard_normal((2, 3, 2))
     out = nonoverlap_conv(x, b)
+    old = conv_oracle(x, b)
     od, op, oq = 2, 2, 1
     assert out.shape == (od, op, oq)
+    up = unvec(_contract_upper(vec(x)[:, None], x.shape, vec(b), b.shape), out.shape)
     for h in range(od):
         for j in range(op):
             for k in range(oq):
-                want = 0.0
+                want = want_up = 0.0
                 for u in range(2):
                     for v in range(3):
                         for w in range(2):
                             want += b[u, v, w] * x[h + od * u, j + op * v, k + oq * w]
+                            want_up += b[u, v, w] * x[u + 2 * h, v + 3 * j, w + 2 * k]
                 assert_allclose(out[h, j, k], want, rtol=1e-12)
+                assert_allclose(old[h, j, k], want, rtol=1e-12)
+                assert_allclose(up[h, j, k], want_up, rtol=1e-12)
+    # The strided form of the upper formula, the oracle of the test below.
+    assert_allclose(up, upper_entry_formula(x, b), rtol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(1, 4), min_size=k, max_size=k),
+            st.lists(st.integers(1, 4), min_size=k, max_size=k),
+        )
+    ),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_contraction_primitive_matches_oracles(extents, n, seed):
+    """On a stack of n images, column i of ``_contract_lower`` is the old
+    einsum convolution of image i, and column i of ``_contract_upper`` is
+    the entry formula with the kernel fastest, for any kernel."""
+    kernel_dims, rest_dims = (tuple(e) for e in extents)
+    dims = tuple(a * b for a, b in zip(kernel_dims, rest_dims))
+    rng = np.random.default_rng(seed)
+    images = rng.standard_normal((n,) + dims)
+    b = rng.standard_normal(kernel_dims)
+    stack = np.stack([vec(x) for x in images], axis=1)
+    lower = _contract_lower(stack, _triple(dims), vec(b), _triple(kernel_dims))
+    upper = _contract_upper(stack, _triple(dims), vec(b), _triple(kernel_dims))
+    assert lower.shape == upper.shape == (int(np.prod(rest_dims)), n)
+    for i, x in enumerate(images):
+        # Rounding is bounded by the sum of absolute products in each entry.
+        scale = float(conv_oracle(np.abs(x), np.abs(b)).max())
+        assert_allclose(lower[:, i], vec(conv_oracle(x, b)), rtol=1e-12, atol=1e-12 * scale)
+        scale = float(upper_entry_formula(np.abs(x), np.abs(b)).max())
+        want = vec(upper_entry_formula(x, b))
+        assert_allclose(upper[:, i], want, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_conv_projects_out_matching_factor():
