@@ -11,7 +11,11 @@ layer update is a single GLM solve.  A sweep updates layers 1..L in order
 (upper partial products held at their previous-sweep values, lower ones
 refreshed as the sweep ascends), then recomposes the upper products from
 the new factors on the way back down.  Layer products are seeded from the
-top singular vectors of the response-weighted image aggregate.
+top singular vectors of the response-weighted image aggregate.  From sweep
+2 on, each layer solve is warm-started from that layer's factors of the
+previous sweep, stacked: against the layer design they give the current
+model's linear predictor.  ``sweep_update`` starts from the model's
+current factors in the same way.
 
 Images enter as an (n, *image_dims) stack (a list of tensors or an
 (n, prod(dims)) matrix of canonical vecs is also accepted).  The solver
@@ -25,12 +29,14 @@ shrinking it by |B_l| at every layer, so a sweep costs about
 2 (1 + 1/|B_1| + ...) passes over the stack, and the sweep objective comes
 from the layer-L design.  ``build_design`` (so ``sweep_update``) and
 ``diagnostics.probe_tau0`` contract the full stack, or one aggregate
-image, against each lower product first.  The response-weighted aggregate,
-prediction and the BIC need only sums over images; they take the images in
-their own memory order and build no stack.
+image, against each lower product first; at layer 1, where that product
+is a scalar, ``build_design`` scales the upper products by it instead.
+The response-weighted aggregate, prediction and the BIC need only sums over
+images; they take the images in their own memory order and build no stack.
 """
 
 import copy
+import itertools
 import json
 import math
 import os
@@ -275,26 +281,34 @@ def _vectorize_images(images, structure, padded_from=None):
     (padded) extents.
 
     The samples run fastest, so every contraction of the stack streams along
-    them.  The transpose is copied in tiles of ``_STACK_TILE`` (images,
-    voxels), so that both its reads and its writes stay within cached lines.
-    Images not stored in canonical order are first copied into canonical
-    rows one block of images at a time.
+    them.  The transpose is copied straight from the images in tiles of
+    ``_STACK_TILE`` (images, voxels), each tile a run of voxels contiguous
+    in the images' own memory order, so that both its reads and its writes
+    stay within cached lines.
     """
     x, unpadded = _image_stack(images, structure, padded_from)
     if unpadded:
         x = pad_images(x, padded_from, structure.image_dims)
     n, v = x.shape[0], structure.n_voxels
     d, p, q = structure.dims3
-    if x.shape[1:] == (v,):  # rows of canonical vecs
-        canon = x.reshape(n, q, p, d)
-    else:  # reversed image axes: their C order is the canonical order
-        canon = x.reshape((n, d, p, q)).transpose(0, 3, 2, 1)
-    bs, bv = _STACK_TILE
+    # x4[s, i, j, k] is voxel (i, j, k) of image s, at canonical index i + d*j + d*p*k.
+    x4 = x.reshape(n, q, p, d).transpose(0, 3, 2, 1) if x.ndim == 2 else x.reshape(n, d, p, q)
     out = np.empty((v, n))
-    for s in range(0, n, bs):
-        rows = canon[s : s + bs].reshape(-1, v)  # a view when already canonical
-        for u in range(0, v, bv):
-            out[u : u + bv, s : s + bs] = rows[:, u : u + bv].T
+    dst = out.reshape(q, p, d, n)
+    if _memory_order(x) == "F":  # canonical order in memory: tile along it
+        src = x4.transpose(0, 3, 2, 1)
+    else:  # row-major images: tile along their C order, the canonical order reversed
+        src, dst = x4, dst.transpose(2, 1, 0, 3)
+    # The voxel tile: a box of about bv voxels, filled from the fastest mode.
+    bs, room = _STACK_TILE
+    box = []
+    for e in src.shape[:0:-1]:
+        box.insert(0, max(1, min(e, room)))
+        room //= e
+    ba, bb, bc = box
+    for s, i, j, k in itertools.product(*map(range, (0,) * 4, src.shape, (bs, ba, bb, bc))):
+        tile = src[s : s + bs, i : i + ba, j : j + bb, k : k + bc]
+        dst[i : i + ba, j : j + bb, k : k + bc, s : s + bs] = tile.transpose(1, 2, 3, 0)
     return out
 
 
@@ -529,7 +543,9 @@ def build_design(images, structure, l, left, right):
     vec per rank term.  Column block r (size d_l*p_l*q_l) multiplies term
     r's layer-l factor, so ``design @ stacked_factors`` reproduces the full
     model's linear predictor exactly.  Each call transposes ``images``
-    (rows of canonical vecs included) into the voxel-major stack once.
+    (rows of canonical vecs included) into the voxel-major stack once; at
+    layer 1 the lower products are scalars, which scale the upper products
+    so the stack is contracted only once.
     """
     _check_layer(structure, l)
     left = [np.asarray(v, dtype=np.float64).ravel() for v in left]
@@ -547,6 +563,9 @@ def build_design(images, structure, l, left, right):
         if right[r].size != n_lo:
             raise DimensionError(f"term {r + 1}: lower product has {right[r].size} entries, expected {n_lo}")
     vec_x = _vectorize_images(images, structure)
+    if l == 1:  # scalar lower products: scale the upper ones, not the stack
+        ups = [w[0] * u for w, u in zip(right, left)]
+        return _layer_design([vec_x] * structure.rank, ups, structure, l)
     lo_ext = structure.lower_extents(l - 1)
     lows = (_contract_lower(vec_x, structure.dims3, w, lo_ext) for w in right)
     return _layer_design(lows, left, structure, l)
@@ -576,15 +595,22 @@ def _split_beta(beta, structure, l):
     return [unvec(mat[:, r], structure.factor_dims[l - 1]) for r in range(structure.rank)]
 
 
-def _solve_layer(family, design, y, ridge):
-    """GLM solution of one layer's subproblem.  A rank-deficient solve is
-    retried with the default ridge unless ``ridge`` is exactly 0.0."""
+def _stack_layer(factors, l):
+    """Every term's layer-l factor stacked in :func:`_split_beta`'s order:
+    against the layer-l design, the model's linear predictor."""
+    return np.concatenate([vec(chain[l - 1]) for chain in factors])
+
+
+def _solve_layer(family, design, y, ridge, beta0=None):
+    """GLM solution of one layer's subproblem, warm-started from ``beta0``
+    (see :func:`glm.fit_glm`).  A rank-deficient solve is retried with the
+    default ridge unless ``ridge`` is exactly 0.0."""
     try:
-        return glm.fit_glm(family, design, y, ridge=ridge)
+        return glm.fit_glm(family, design, y, ridge=ridge, beta0=beta0)
     except RankDeficiencyError:
         if ridge == 0.0:
             raise
-        return glm.fit_glm(family, design, y, ridge=glm.default_ridge(design))
+        return glm.fit_glm(family, design, y, ridge=glm.default_ridge(design), beta0=beta0)
 
 
 def sweep_update(model, images, response, family=None, l=1, options=None, left=None):
@@ -592,7 +618,8 @@ def sweep_update(model, images, response, family=None, l=1, options=None, left=N
 
     Upper partial products default to those composed from the model's
     current factors; pass ``left`` explicitly to reproduce the sweep
-    schedule, where they lag one sweep behind.
+    schedule, where they lag one sweep behind.  The solve is warm-started
+    from the model's current layer-l factors, as in :func:`fit`.
     """
     structure = model.structure
     _check_layer(structure, l)
@@ -603,7 +630,7 @@ def sweep_update(model, images, response, family=None, l=1, options=None, left=N
     right = partial_products(model, l - 1, "right")
     design = build_design(images, structure, l, left, right)
     y = family.validate_response(response)
-    beta = _solve_layer(family, design, y, options.ridge)
+    beta = _solve_layer(family, design, y, options.ridge, _stack_layer(model.factors, l))
     new_factors = copy.deepcopy(model.factors)
     for r, f in enumerate(_split_beta(beta, structure, l)):
         new_factors[r][l - 1] = f
@@ -721,7 +748,8 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
                     lo_ext = structure.lower_extents(l - 1)
                     low[r] = _contract_lower(vec_x, structure.dims3, right[r], lo_ext)
             design = _layer_design(low, left[l + 1], structure, l)
-            beta = _solve_layer(family, design, y, options.ridge)
+            beta0 = _stack_layer(factors, l) if t > 1 else None  # last sweep's layer l
+            beta = _solve_layer(family, design, y, options.ridge, beta0)
             layer = _split_beta(beta, structure, l)
             for r, f in enumerate(layer):
                 factors[r][l - 1] = f

@@ -9,9 +9,12 @@ relative to one another within a fixed response vector.
 
 ``fit_glm`` solves one ridge-penalized block subproblem: a closed-form
 normal-equations solve for gaussian, damped iteratively reweighted least
-squares for bernoulli.  Bernoulli linear predictors are clamped to
-[-30, 30] before exponentiation; beyond that range the sigmoid is flat to
-double precision anyway.
+squares for bernoulli.  IRLS may be warm-started from a caller's ``beta0``
+(the alternating sweep hands in the layer's previous factors); it starts
+there only when that lowers the penalized objective below its value at
+zero.  Bernoulli linear predictors are clamped to [-30, 30] before
+exponentiation; beyond that range the sigmoid is flat to double precision
+anyway.
 """
 
 from dataclasses import dataclass
@@ -159,7 +162,7 @@ def _solve_spd(a, rhs, context):
     return np.linalg.solve(a, rhs)
 
 
-def fit_glm(family, design, y, ridge=None, return_info=False):
+def fit_glm(family, design, y, ridge=None, return_info=False, beta0=None):
     """Minimize nll(beta) + ridge/2 * |beta|^2 for one design matrix.
 
     Parameters
@@ -174,6 +177,11 @@ def fit_glm(family, design, y, ridge=None, return_info=False):
         singular normal equations then raise RankDeficiencyError.
     return_info : bool
         Also return a dict with the objective trace and iteration count.
+    beta0 : array-like or None
+        Starting point for IRLS, one finite entry per design column.  IRLS
+        starts from ``beta0`` only when its penalized objective is strictly
+        lower than at beta = 0, and from zero otherwise, so a poor start
+        gives the cold solve exactly.  The gaussian closed form ignores it.
 
     Returns
     -------
@@ -193,6 +201,13 @@ def fit_glm(family, design, y, ridge=None, return_info=False):
         raise DimensionError(f"ridge must be nonnegative, got {lam}")
 
     m = design.shape[1]
+    if beta0 is not None:
+        beta0 = np.asarray(beta0, dtype=np.float64)
+        if beta0.shape != (m,):
+            raise DimensionError(f"beta0 has shape {beta0.shape}, expected ({m},) for {m} columns")
+        bad = np.flatnonzero(~np.isfinite(beta0))
+        if bad.size:
+            raise DimensionError(f"beta0 entry {bad[0]} is not finite")
     eye = np.eye(m)
 
     if family.name == "gaussian":
@@ -211,14 +226,19 @@ def fit_glm(family, design, y, ridge=None, return_info=False):
 
     beta = np.zeros(m)
     obj, eta = penalized(beta)
+    if beta0 is not None:
+        warm_obj, warm_eta = penalized(beta0)
+        if warm_obj < obj:
+            beta, obj, eta = beta0.copy(), warm_obj, warm_eta
     trace = [obj]
     converged = False
     for _ in range(IRLS_MAX_ITER):
-        grad = design.T @ (family.mean(eta) - y) + lam * beta
+        mu = family.mean(eta)
+        grad = design.T @ (mu - y) + lam * beta
         if np.max(np.abs(grad)) <= IRLS_GRAD_TOL * (1.0 + abs(obj)):
             converged = True
             break
-        w = family.variance(eta)
+        w = mu * (1.0 - mu)  # the bernoulli variance psi''(eta), from the same mean
         hess = design.T @ (design * w[:, None]) + lam * eye
         try:
             step = np.linalg.solve(hess, -grad)

@@ -262,9 +262,9 @@ def record_designs(mp):
     designs = []
     solve = dkn_fit._solve_layer
 
-    def spy(family, design, y, ridge):
+    def spy(family, design, y, ridge, beta0=None):
         designs.append(np.array(design))
-        return solve(family, design, y, ridge)
+        return solve(family, design, y, ridge, beta0)
 
     mp.setattr(dkn_fit, "_solve_layer", spy)
     return designs
@@ -529,9 +529,9 @@ def test_layer_solves_are_block_coordinate_descent(family, rank):
     nlls = []
     solve = dkn_fit._solve_layer
 
-    def spy(family, design, y, ridge):
+    def spy(family, design, y, ridge, beta0=None):
         assert ridge == 0.0
-        beta = solve(family, design, y, ridge)
+        beta = solve(family, design, y, ridge, beta0)
         nlls.append(nll_eta(family, design @ beta, y))
         return beta
 
@@ -549,27 +549,30 @@ def test_layer_solves_are_block_coordinate_descent(family, rank):
 
 def test_fit_sweeps_match_manual_schedule():
     """Replaying sweep 2 with sweep_update and the previous sweep's upper
-    products reproduces the fit's own factors."""
+    products reproduces the fit's own factors, for both families: the
+    Bernoulli solves of both are warm-started from the sweep-1 factors."""
     rng = np.random.default_rng(9)
     structure = DknStructure(
         image_dims=(8, 8), factor_dims=[(2, 2), (2, 2), (2, 2)], rank=2
     )
     images = rng.standard_normal((80, 8, 8))
-    y = rng.standard_normal(80)
+    y_gauss = rng.standard_normal(80)
     opts = FitOptions(max_sweeps=2, tol=0.0, trace_factors=True)
-    _, report = fit(images, y, structure, options=opts)
-    assert len(report.snapshots) == 2
+    for family, y in (("gaussian", y_gauss), ("bernoulli", (y_gauss > 0) * 1.0)):
+        _, report = fit(images, y, structure, family=family, options=opts)
+        assert len(report.snapshots) == 2
 
-    model1 = DknModel(structure=structure, factors=report.snapshots[0])
-    cur = model1
-    for l in range(1, 4):
-        left = partial_products(model1, l + 1, "left")
-        cur, _ = sweep_update(cur, images, y, l=l, options=opts, left=left)
-    for r in range(2):
-        for l in range(3):
-            assert_allclose(
-                cur.factors[r][l], report.snapshots[1][r][l], rtol=1e-12, atol=1e-14
-            )
+        model1 = DknModel(structure=structure, factors=report.snapshots[0], family=family)
+        cur = model1
+        for l in range(1, 4):
+            left = partial_products(model1, l + 1, "left")
+            cur, _ = sweep_update(cur, images, y, l=l, options=opts, left=left)
+        for r in range(2):
+            for l in range(3):
+                assert_allclose(
+                    cur.factors[r][l], report.snapshots[1][r][l], rtol=1e-12, atol=1e-14,
+                    err_msg=family,
+                )
 
 
 def test_fit_recovers_noiseless_rank1():

@@ -224,3 +224,59 @@ def test_irls_iteration_cap(monkeypatch):
         fit_glm(BERNOULLI, design, y, ridge=1e-6)
     assert err.value.last_iterate is not None
     assert err.value.last_iterate.shape == (4,)
+
+
+def penalized_objective(design, beta, y, lam):
+    return nll(BERNOULLI, design, beta, y) + 0.5 * lam * float(beta @ beta)
+
+
+def test_warm_start_reaches_the_cold_minimizer():
+    """IRLS started near the cold solve's minimizer lands on it, within the
+    gradient tolerance, in no more iterations than the cold solve."""
+    rng = np.random.default_rng(15)
+    design, y = logistic_data(rng, n=200, m=6)
+    lam = 1e-3
+    cold, cold_info = fit_glm(BERNOULLI, design, y, ridge=lam, return_info=True)
+    beta0 = cold + 0.05 * rng.standard_normal(cold.size)
+    warm, info = fit_glm(BERNOULLI, design, y, ridge=lam, return_info=True, beta0=beta0)
+    assert info["objective_trace"][0] == penalized_objective(design, beta0, y, lam)
+    assert info["converged"] and 0 < info["iterations"] <= cold_info["iterations"]
+    obj = info["objective_trace"][-1]
+    grad = nll_grad(BERNOULLI, design, warm, y) + lam * warm
+    assert np.max(np.abs(grad)) <= glm.IRLS_GRAD_TOL * (1.0 + abs(obj))
+    assert_allclose(warm, cold, rtol=1e-7, atol=1e-9)
+    assert abs(obj - cold_info["objective_trace"][-1]) <= glm.IRLS_GRAD_TOL * (1.0 + abs(obj))
+
+
+def test_warm_start_worse_than_zero_is_the_cold_solve():
+    rng = np.random.default_rng(16)
+    design, y = logistic_data(rng, n=100, m=4)
+    lam = 1e-3
+    cold, cold_info = fit_glm(BERNOULLI, design, y, ridge=lam, return_info=True)
+    beta0 = -10.0 * cold
+    zero = np.zeros_like(cold)
+    assert penalized_objective(design, beta0, y, lam) > penalized_objective(design, zero, y, lam)
+    warm, info = fit_glm(BERNOULLI, design, y, ridge=lam, return_info=True, beta0=beta0)
+    assert np.array_equal(warm, cold)
+    assert info == cold_info
+
+
+def test_warm_start_validation():
+    rng = np.random.default_rng(17)
+    design, y = logistic_data(rng)
+    with pytest.raises(DimensionError, match=r"beta0 has shape \(2,\), expected \(3,\)"):
+        fit_glm(BERNOULLI, design, y, beta0=np.zeros(2))
+    with pytest.raises(DimensionError, match="beta0 entry 1 is not finite"):
+        fit_glm(BERNOULLI, design, y, beta0=np.array([0.0, np.nan, 0.0]))
+    with pytest.raises(DimensionError, match="beta0 entry 2 is not finite"):
+        fit_glm(GAUSSIAN, design, y, beta0=np.array([0.0, 1.0, np.inf]))
+
+
+def test_gaussian_ignores_warm_start():
+    rng = np.random.default_rng(18)
+    design = rng.standard_normal((30, 4))
+    y = rng.standard_normal(30)
+    want, want_info = fit_glm(GAUSSIAN, design, y, ridge=0.1, return_info=True)
+    got, info = fit_glm(GAUSSIAN, design, y, ridge=0.1, return_info=True, beta0=want + 1.0)
+    assert np.array_equal(got, want)
+    assert info == want_info
