@@ -32,6 +32,7 @@ from . import rng
 from .dkn_fit import (
     DknModel,
     DknStructure,
+    _digits,
     _image_stack,
     _inner_products,
     _layer_design,
@@ -99,6 +100,8 @@ def probe_rip(images, structure, n_probes=50, seed=0):
     pass over the images per block.  The last block is filled with the
     following probes, drawn from their own streams and then dropped, so
     every probe is computed in the same block whatever ``n_probes`` is.
+    Pixels are not checked: a non-finite pixel makes every ratio, and so
+    ``delta_hat``, non-finite.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     if n_probes < 1:
@@ -126,7 +129,7 @@ def probe_rip(images, structure, n_probes=50, seed=0):
                 witness_ratio = ratio
                 witness = block[b]
     return RipProbe(
-        delta_hat=worst,
+        delta_hat=math.nan if any(map(math.isnan, ratios)) else worst,
         ratios=ratios,
         witness_ratio=witness_ratio,
         witness_factors=witness,
@@ -149,7 +152,7 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0):
     n = x.shape[0]
     if eps.shape != (n,):
         raise DimensionError("noise length does not match image count")
-    agg = _weighted_sum(x, eps, structure)[:, None]
+    agg = _weighted_sum(x, eps, structure)[_digits(structure, 1, structure.depth), None]
     # Every term would get the same probe, so one term's block is enough.
     worst = 0.0
     for j in range(n_probes):
@@ -159,8 +162,8 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0):
             w = g.standard_normal(int(np.prod(structure.lower_extents(l - 1))))
             u /= np.linalg.norm(u)
             w /= np.linalg.norm(w)
-            low = _contract_lower(agg, structure.dims3, w, structure.lower_extents(l - 1))
-            row = _layer_design([low], [u], structure, l)
+            low = _contract_lower(agg, w[_digits(structure, 1, l - 1)])
+            row = _layer_design([low], [u[_digits(structure, l + 1, structure.depth)]])
             worst = max(worst, float(np.linalg.norm(row) / n))
     return worst
 

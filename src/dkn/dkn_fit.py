@@ -19,20 +19,20 @@ current factors in the same way.
 
 Images enter as an (n, *image_dims) stack (a list of tensors or an
 (n, prod(dims)) matrix of canonical vecs is also accepted).  The solver
-copies them once into a voxel-major stack, (n_voxels, n) with the samples
-fastest.  Every design is that stack contracted against the partial
-products by the contraction primitive in ``kron_ops`` (the batched
-``nonoverlap_conv``): ``_layer_design`` contracts each term's stack,
-already contracted against its lower product, against its upper product.
-``fit`` carries that lower chain up each sweep, as in ``conv_chain_eval``,
-shrinking it by |B_l| at every layer, so a sweep costs about
-2 (1 + 1/|B_1| + ...) passes over the stack, and the sweep objective comes
-from the layer-L design.  ``build_design`` (so ``sweep_update``) and
-``diagnostics.probe_tau0`` contract the full stack, or one aggregate
-image, against each lower product first; at layer 1, where that product
-is a scalar, ``build_design`` scales the upper products by it instead.
-The response-weighted aggregate, prediction and the BIC need only sums over
-images; they take the images in their own memory order and build no stack.
+copies them once into its stack, (n_voxels, n) with the samples fastest
+and each column in layer-digit order (``kron_ops.reshape_T``), where a
+chain is ``np.kron(vec(B_1), ..., vec(B_L))``: every contraction against
+a partial product is then one contiguous matmul.  ``fit`` carries the
+stack, contracted against this sweep's lower factors, up the sweep as in
+``conv_chain_eval``, |B_l| times smaller at every layer; layer 1's design
+and lower contraction each read the stack once for all R terms.  A sweep
+costs about 2 (1 + 1/|B_1| + ...) passes over the stack, and its
+objective comes from the layer-L design.  ``build_design`` (so
+``sweep_update``) and ``diagnostics.probe_tau0`` map canonical products
+into that order.  The response-weighted aggregate, prediction and the BIC
+sum over the images in their own memory order and build no stack.
+Pixels are checked by ``fit`` only: elsewhere a non-finite pixel passes
+through to its image's prediction or design row.
 """
 
 import copy
@@ -52,7 +52,8 @@ from .errors import (
     DimensionError,
     RankDeficiencyError,
 )
-from .kron_ops import _contract_lower, _contract_upper, _triple, compose_coeff, reshape_R_indices, tkp
+from .kron_ops import _contract_lower, _contract_upper, _triple, compose_coeff, tkp
+from .kron_ops import reshape_R_indices, reshape_T_indices
 from .tensor_core import dist, read_dkt, unvec, vec, write_dkt
 
 __all__ = [
@@ -79,7 +80,7 @@ __all__ = [
 ]
 
 COLLAPSE_TOL = 1e-12
-_STACK_TILE = (32, 512)
+_STACK_TILE = (256, 512)
 MANIFEST_NAME = "manifest.json"
 _MODEL_FORMAT = "dkn-model-v1"
 
@@ -105,15 +106,12 @@ class DknStructure:
             raise DimensionError("depth must be at least 2")
         if self.rank < 1:
             raise DimensionError(f"rank must be >= 1, got {self.rank}")
-        dims3 = _triple(self.image_dims)
+        dims3, composed = _triple(self.image_dims), self.upper_extents(1)
         for m in range(3):
-            prod = 1
-            for fd in self.factor_dims:
-                prod *= fd[m]
-            if prod != dims3[m]:
+            if composed[m] != dims3[m]:
                 raise DimensionError(
                     f"mode {m}: factor extents {[fd[m] for fd in self.factor_dims]} "
-                    f"compose to {prod}, image extent is {dims3[m]}"
+                    f"compose to {composed[m]}, image extent is {dims3[m]}"
                 )
 
     @property
@@ -276,39 +274,38 @@ def _image_stack(images, structure, padded_from=None):
 
 
 def _vectorize_images(images, structure, padded_from=None):
-    """The solver's voxel-major image stack: a C-contiguous ``(n_voxels, n)``
-    array whose column i is the canonical vec of image i at the structure's
-    (padded) extents.
-
-    The samples run fastest, so every contraction of the stack streams along
-    them.  The transpose is copied straight from the images in tiles of
-    ``_STACK_TILE`` (images, voxels), each tile a run of voxels contiguous
-    in the images' own memory order, so that both its reads and its writes
-    stay within cached lines.
+    """The solver's image stack: a C-contiguous ``(n_voxels, n)`` array whose
+    column i is image i at the structure's (padded) extents in layer-digit
+    order, ``reshape_T(X_i, factor_dims).ravel()``, so that every
+    contraction of it is one contiguous matmul.  It is copied straight from
+    the images in tiles of ``_STACK_TILE`` (images, voxels), each a run of
+    voxels contiguous in the images' memory order, through a buffer whose
+    rows sit a cache line further apart than the run (so the images' lines
+    do not share cache sets) and one transposed-view assignment.
     """
     x, unpadded = _image_stack(images, structure, padded_from)
     if unpadded:
         x = pad_images(x, padded_from, structure.image_dims)
-    n, v = x.shape[0], structure.n_voxels
-    d, p, q = structure.dims3
-    # x4[s, i, j, k] is voxel (i, j, k) of image s, at canonical index i + d*j + d*p*k.
-    x4 = x.reshape(n, q, p, d).transpose(0, 3, 2, 1) if x.ndim == 2 else x.reshape(n, d, p, q)
+    n, v, fd = x.shape[0], structure.n_voxels, structure.factor_dims
+    order = _memory_order(x)
+    # One axis per (mode, layer) digit of extent > 1, in the stack's order and
+    # in the images' (slowest mode first); a mode's layer-1 digit is its slowest.
+    digits = [(m, l) for l in range(len(fd)) for m in (2, 1, 0) if fd[l][m] > 1]
+    mem = sorted(digits, key=lambda a: (a[0] if order == "C" else -a[0], a[1]))
+    extent = [fd[l][m] for m, l in mem]
     out = np.empty((v, n))
-    dst = out.reshape(q, p, d, n)
-    if _memory_order(x) == "F":  # canonical order in memory: tile along it
-        src = x4.transpose(0, 3, 2, 1)
-    else:  # row-major images: tile along their C order, the canonical order reversed
-        src, dst = x4, dst.transpose(2, 1, 0, 3)
-    # The voxel tile: a box of about bv voxels, filled from the fastest mode.
-    bs, room = _STACK_TILE
-    box = []
-    for e in src.shape[:0:-1]:
-        box.insert(0, max(1, min(e, room)))
-        room //= e
-    ba, bb, bc = box
-    for s, i, j, k in itertools.product(*map(range, (0,) * 4, src.shape, (bs, ba, bb, bc))):
-        tile = src[s : s + bs, i : i + ba, j : j + bb, k : k + bc]
-        dst[i : i + ba, j : j + bb, k : k + bc, s : s + bs] = tile.transpose(1, 2, 3, 0)
+    dst = out.reshape([fd[l][m] for m, l in digits] + [n])
+    dst = dst.transpose([digits.index(a) for a in mem] + [len(mem)])
+    rows = x.reshape(n, v, order=order).reshape([n] + extent)
+    bs, run, j = _STACK_TILE[0], v, 0
+    while run > _STACK_TILE[1]:  # fix the slowest memory digits: one run per tile
+        run //= extent[j]
+        j += 1
+    buf = np.empty((bs, run + 8))[:, :run]
+    for s, outer in itertools.product(range(0, n, bs), np.ndindex(*extent[:j])):
+        tile = buf[: min(bs, n - s)].reshape([-1] + extent[j:])
+        tile[...] = rows[(slice(s, s + bs),) + outer]
+        dst[outer + (..., slice(s, s + bs))] = np.moveaxis(tile, 0, -1)
     return out
 
 
@@ -512,27 +509,25 @@ def _check_layer(structure, l):
         raise DimensionError(f"layer {l} outside 1..{structure.depth}")
 
 
-def _layer_design(lows, ups, structure, l):
+def _digits(structure, first, last):
+    """Index map from the canonical vec of layers first..last composed to
+    layer-digit order (``kron_ops.reshape_T_indices``); the full slice for
+    an empty range, whose product is a scalar."""
+    fd = structure.factor_dims[first - 1 : last]
+    return reshape_T_indices(np.prod(fd, axis=0), fd) if fd else slice(None)
+
+
+def _layer_design(lows, ups):
     """The layer-l design, ``(n, R * d_l * p_l * q_l)``, from each term's
     stack already contracted against its lower product (layers 1..l-1) and
-    its upper product (layers l+1..L).  Column block r multiplies term r's
-    layer-l factor.  ``lows`` may be a generator: each of its stacks is
-    released once contracted, so only one is held at a time."""
-    ext, up_ext = structure.upper_extents(l), structure.upper_extents(l + 1)
-    lows = iter(lows)
-    return np.concatenate([_contract_upper(next(lows), ext, u, up_ext) for u in ups]).T
-
-
-def _grow_products(prods, factors, structure, l, side):
-    """Every term's partial product extended by its layer-l factor, as
-    canonical vecs: upper products (layers l+1..L) become layers l..L as
-    ``tkp(upper, B_l)``, lower products (layers 1..l-1) become layers 1..l
-    as ``tkp(B_l, lower)``."""
-    if side == "left":
-        ext = structure.upper_extents(l + 1)
-        return [vec(tkp(unvec(p, ext), f)) for p, f in zip(prods, factors)]
-    ext = structure.lower_extents(l - 1)
-    return [vec(tkp(f, unvec(p, ext))) for p, f in zip(prods, factors)]
+    its upper product (layers l+1..L), in layer-digit order.  Column block
+    r multiplies term r's layer-l factor.  ``lows`` is one stack that a
+    single matmul reads for every term, or an iterable of per-term stacks
+    (a generator's are released once contracted, one held at a time)."""
+    if isinstance(lows, np.ndarray):
+        out = _contract_upper(lows, np.stack(ups)).transpose(1, 0, 2)
+        return out.reshape(-1, lows.shape[1]).T
+    return np.concatenate([_contract_upper(w, u) for w, u in zip(lows, ups)]).T
 
 
 def build_design(images, structure, l, left, right):
@@ -542,10 +537,11 @@ def build_design(images, structure, l, left, right):
     ``right`` the composed lower products (layers 1..l-1), one canonical
     vec per rank term.  Column block r (size d_l*p_l*q_l) multiplies term
     r's layer-l factor, so ``design @ stacked_factors`` reproduces the full
-    model's linear predictor exactly.  Each call transposes ``images``
-    (rows of canonical vecs included) into the voxel-major stack once; at
-    layer 1 the lower products are scalars, which scale the upper products
-    so the stack is contracted only once.
+    model's linear predictor exactly.  Each call copies ``images`` into the
+    solver's stack once and maps the products into its order; at layer 1
+    the lower products are scalars, which scale the upper products so the
+    stack is contracted only once.  Pixels are not checked: a non-finite
+    pixel makes its image's design row non-finite.
     """
     _check_layer(structure, l)
     left = [np.asarray(v, dtype=np.float64).ravel() for v in left]
@@ -563,12 +559,11 @@ def build_design(images, structure, l, left, right):
         if right[r].size != n_lo:
             raise DimensionError(f"term {r + 1}: lower product has {right[r].size} entries, expected {n_lo}")
     vec_x = _vectorize_images(images, structure)
+    ups = [u[_digits(structure, l + 1, structure.depth)] for u in left]
     if l == 1:  # scalar lower products: scale the upper ones, not the stack
-        ups = [w[0] * u for w, u in zip(right, left)]
-        return _layer_design([vec_x] * structure.rank, ups, structure, l)
-    lo_ext = structure.lower_extents(l - 1)
-    lows = (_contract_lower(vec_x, structure.dims3, w, lo_ext) for w in right)
-    return _layer_design(lows, left, structure, l)
+        return _layer_design(vec_x, [w[0] * u for w, u in zip(right, ups)])
+    lo = _digits(structure, 1, l - 1)
+    return _layer_design((_contract_lower(vec_x, w[lo]) for w in right), ups)
 
 
 def partial_products(model, l, side):
@@ -585,7 +580,9 @@ def partial_products(model, l, side):
         raise DimensionError(f"{side} products need {lo} <= l <= {hi}, got {l}")
     prods = [np.ones(1) for _ in range(structure.rank)]
     for k in layers:
-        prods = _grow_products(prods, [chain[k - 1] for chain in model.factors], structure, k, side)
+        ext = structure.upper_extents(k + 1) if side == "left" else structure.lower_extents(k - 1)
+        pairs = [(unvec(p, ext), chain[k - 1]) for p, chain in zip(prods, model.factors)]
+        prods = [vec(tkp(p, f) if side == "left" else tkp(f, p)) for p, f in pairs]
     return prods
 
 
@@ -700,9 +697,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
         truth = np.asarray(options.trace_truth, dtype=np.float64)
         t3 = truth.reshape(_triple(truth.shape) if truth.ndim < 3 else truth.shape, order="F")
         if t3.shape != structure.dims3:
-            raise DimensionError(
-                f"trace_truth extents {truth.shape} do not match image extents"
-            )
+            raise DimensionError(f"trace_truth extents {truth.shape} do not match image extents")
         truth_vec = vec(t3)
         report.dist_trace = []
     if options.trace_factors:
@@ -710,63 +705,61 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
 
     left, pools = _spectral_seeds(_weighted_sum(images, y, structure, padded_from), structure)
     if options.trace_factors:
-        report.init_left_products = {l: [v.copy() for v in vs] for l, vs in left.items()}
+        report.init_left_products = left  # canonical; the sweep works on a mapped copy
 
     factors = [[None] * L for _ in range(R)]
     reseed_count = 0
 
     def _reseed(side, l, r, t):
+        """A unit vector for term r's collapsed product, in layer-digit order."""
         nonlocal reseed_count
         event = {"sweep": t, "layer": l, "term": r + 1, "side": side}
+        first, last = (l + 1, L) if side == "left" else (1, l - 1)
         if side == "left" and pools.get(l + 1):
             v = pools[l + 1].pop(0)
             event["source"] = "svd_pool"
         else:
-            size = int(np.prod(structure.upper_extents(l + 1))) if side == "left" else int(
-                np.prod(structure.lower_extents(l - 1))
-            )
             g = rng.stream(options.seed, rng.PURPOSE_RESEED, reseed_count)
-            v = g.standard_normal(size)
+            v = g.standard_normal(int(np.prod(structure.factor_dims[first - 1 : last])))
             v /= np.linalg.norm(v)
             event["source"] = "random"
         reseed_count += 1
         report.collapse_events.append(event)
-        return v
+        return v[_digits(structure, first, last)]
 
+    # up[l][r]: term r's upper product (layers l..L) in layer-digit order.
+    up = {l: [v[_digits(structure, l, L)] for v in vs] for l, vs in left.items()}
     prev_obj = None
     for t in range(1, options.max_sweeps + 1):
-        right = [np.ones(1) for _ in range(R)]
-        # low[r]: the stack contracted against term r's lower product right[r].
-        low = [vec_x] * R
+        # low: the stack contracted against each term's lower product, whose
+        # norm is lo_norm; at layer 1 the stack itself, shared by every term.
+        low, lo_norm = vec_x, [1.0] * R
         for l in range(1, L + 1):
-            ext = structure.upper_extents(l)
             for r in range(R):
-                if np.linalg.norm(left[l + 1][r]) < COLLAPSE_TOL:
-                    left[l + 1][r] = _reseed("left", l, r, t)
-                if np.linalg.norm(right[r]) < COLLAPSE_TOL:
-                    right[r] = _reseed("right", l, r, t)
-                    lo_ext = structure.lower_extents(l - 1)
-                    low[r] = _contract_lower(vec_x, structure.dims3, right[r], lo_ext)
-            design = _layer_design(low, left[l + 1], structure, l)
+                if np.linalg.norm(up[l + 1][r]) < COLLAPSE_TOL:
+                    up[l + 1][r] = _reseed("left", l, r, t)
+                if l > 1 and lo_norm[r] < COLLAPSE_TOL:  # layer 1's lower product is 1
+                    low[r], lo_norm[r] = _contract_lower(vec_x, _reseed("right", l, r, t)), 1.0
+            design = _layer_design(low, up[l + 1])
             beta0 = _stack_layer(factors, l) if t > 1 else None  # last sweep's layer l
             beta = _solve_layer(family, design, y, options.ridge, beta0)
             layer = _split_beta(beta, structure, l)
             for r, f in enumerate(layer):
                 factors[r][l - 1] = f
-                if l < L:  # carry the chain up one layer
-                    low[r] = _contract_lower(low[r], ext, vec(f), structure.factor_dims[l - 1])
-            right = _grow_products(right, layer, structure, l, "right")
+                lo_norm[r] *= float(np.linalg.norm(f))
+            if l < L:  # carry the chain up one layer: one matmul for every term at layer 1
+                vecs = np.stack([vec(f) for f in layer])
+                low = list(_contract_lower(vec_x, vecs) if l == 1 else map(_contract_lower, low, vecs))
         # Downward pass: recompose the upper products from this sweep's factors.
         for l in range(L, 1, -1):
-            layer = [chain[l - 1] for chain in factors]
-            left[l] = _grow_products(left[l + 1], layer, structure, l, "left")
+            up[l] = [np.kron(vec(chain[l - 1]), u) for chain, u in zip(factors, up[l + 1])]
 
         # The layer-L design is the stack contracted against every lower
         # product, so design @ beta is the coefficient's linear predictor.
         obj = glm.nll_eta(family, design @ beta, y)
         report.objective_trace.append(obj)
         if truth_vec is not None:
-            report.dist_trace.append(dist(np.sum(right, axis=0), truth_vec))
+            report.dist_trace.append(dist(vec(compose_coeff(factors)), truth_vec))
         if options.trace_factors:
             report.snapshots.append(copy.deepcopy(factors))
         report.sweeps = t
@@ -790,7 +783,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     except DegenerateDataError:
         pass  # an exactly-zero factor: keep the raw fit rather than fail late
     report.intercept = intercept
-    report.bic = bic(model, vec_x.T, y_raw)  # rows of canonical vecs, not copied
+    report.bic = bic(model, images, y_raw)
     report.wall_time_s = time.perf_counter() - t0
     return model, report
 
@@ -831,7 +824,9 @@ def _linear_predictor(model, images):
 
 def predict(model, images):
     """Mean response per image: the linear predictor for gaussian, the
-    success probability for bernoulli."""
+    success probability for bernoulli.  Pixels are not checked, which would
+    cost a pass of its own: an image with a non-finite pixel gets a
+    non-finite prediction, and every other image its usual one."""
     eta = _linear_predictor(model, images)
     family = glm.get_family(model.family)
     return family.mean(eta) if family.name == "bernoulli" else eta

@@ -14,15 +14,16 @@ Two reshaping operators expose the multilinear structure:
   identity is ``reshape_R(tkp(a, b), a.shape) == outer(vec(a), vec(b))``.
 * ``reshape_T(c, factor_dims)`` regroups an order-3 tensor into an order-L
   tensor so that a sum of rank-1 Kronecker chains becomes a sum of CP
-  outer products, mode l varying with vec(B_l).
+  outer products, mode l varying with vec(B_l).  Ravelled, it is a vec in
+  layer-digit order (``reshape_T_indices``): level 1's digit slowest.
 
 Both are pure index permutations: entries are moved, never combined.
 
-``_contract_lower`` and its mirror ``_contract_upper`` are the one
-contraction of a ``(rows, n)`` stack of canonical vecs against the lower
-(slowest) or upper (fastest) part of every mode of a Kronecker chain:
-``dkn_fit.fit``, ``dkn_fit.build_design``, ``diagnostics.probe_tau0`` and
-``nonoverlap_conv`` (on a one-image stack) all go through them.
+In layer-digit order a chain is ``np.kron(vec(B_1), ..., vec(B_L))``, so
+the one contraction of a ``(rows, n)`` stack against a chain's lower or
+upper product, ``_contract_lower`` and its mirror ``_contract_upper``, is
+one contiguous matmul.  ``dkn_fit.fit``, ``dkn_fit.build_design``,
+``diagnostics.probe_tau0`` and ``nonoverlap_conv`` all go through them.
 """
 
 from functools import lru_cache, reduce
@@ -39,6 +40,7 @@ __all__ = [
     "reshape_R",
     "reshape_R_indices",
     "reshape_T",
+    "reshape_T_indices",
     "nonoverlap_conv",
     "conv_chain_eval",
 ]
@@ -140,6 +142,28 @@ def reshape_R(c, grid):
     return vec(c3)[reshape_R_indices(c3.shape, grid)]
 
 
+@lru_cache(maxsize=256)
+def _reshape_T_indices_cached(dims3, fd):
+    L = len(fd)
+    if not fd or tuple(int(e) for e in np.prod(fd, axis=0)) != dims3:
+        raise DimensionError(f"factor extents {list(fd)} do not compose to {dims3}")
+    # Split each mode with level L fastest, matching the chain composition,
+    # then order the digits level 1 slowest, each level's as vec(B_l).
+    split = [fd[L - 1 - i][m] for m in range(3) for i in range(L)]
+    src = np.arange(int(np.prod(dims3)), dtype=np.intp).reshape(split, order="F")
+    perm = [m * L + L - l for l in range(1, L + 1) for m in (2, 1, 0)]
+    out = src.transpose(perm).ravel()
+    out.setflags(write=False)
+    return out
+
+
+def reshape_T_indices(dims, factor_dims):
+    """Index map M with ``reshape_T(c, factor_dims).ravel() == vec(c)[M]``
+    for c of extents ``dims``: a canonical vec in layer-digit order, level
+    1's digit slowest and each level's digit in vec(B_l) order."""
+    return _reshape_T_indices_cached(_triple(dims), tuple(_triple(f) for f in factor_dims))
+
+
 def reshape_T(c, factor_dims):
     """Regroup an order<=3 tensor into one order-L mode per factor level.
 
@@ -149,53 +173,26 @@ def reshape_T(c, factor_dims):
     chain, ``reshape_T(kron_chain(chain), dims)`` is the CP outer product
     of the vecs, and sums of chains map to sums of outer products.
     """
-    fd = [_triple(f) for f in factor_dims]
-    L = len(fd)
-    if L < 1:
-        raise DimensionError("factor_dims must be non-empty")
     c3 = _lift3(c)
-    for m in range(3):
-        if int(np.prod([f[m] for f in fd])) != c3.shape[m]:
-            raise DimensionError(
-                f"factor extents {[f[m] for f in fd]} do not compose to {c3.shape[m]} in mode {m}"
-            )
-    # Split each mode with level L fastest, matching the chain composition.
-    dsplit = [fd[L - 1 - i][0] for i in range(L)]
-    psplit = [fd[L - 1 - i][1] for i in range(L)]
-    qsplit = [fd[L - 1 - i][2] for i in range(L)]
-    t = c3.reshape(dsplit + psplit + qsplit, order="F")
-    perm = []
-    for l in range(1, L + 1):
-        perm += [L - l, 2 * L - l, 3 * L - l]
-    t = t.transpose(perm)
-    return t.reshape([f[0] * f[1] * f[2] for f in fd], order="F")
+    out = vec(c3)[reshape_T_indices(c3.shape, factor_dims)]
+    return out.reshape([int(np.prod(_triple(f))) for f in factor_dims])
 
 
-def _contract_lower(t, extents, lo, lo_extents):
-    """Contract a ``(rows, n)`` stack of canonical vecs at per-mode
-    ``extents`` against the lower product ``lo`` at ``lo_extents``.
-
-    Every mode of a canonical vec splits as (lower layers, the rest) with
-    the rest fastest, so the C-order reshape is the copy-free view (q_lo,
-    q_rest, p_lo, p_rest, d_lo, d_rest, n) and the result is the stack at
-    the rest's extents.  The inner loop runs along the n samples.
-    """
-    (d, p, q), (d_lo, p_lo, q_lo) = extents, lo_extents
-    n = t.shape[1]
-    view = t.reshape(q_lo, q // q_lo, p_lo, p // p_lo, d_lo, d // d_lo, n)
-    out = np.einsum("qapbdcn,qpd->abcn", view, np.reshape(lo, (q_lo, p_lo, d_lo)))
-    return out.reshape(-1, n)
+def _contract_lower(t, lo):
+    """Contract a ``(rows, n)`` stack in layer-digit order against ``lo``,
+    the lower product over its slowest digits (layers 1..l-1): the stack is
+    the ``(k, rows/k * n)`` matrix.  An ``(R, k)`` ``lo`` reads the stack
+    once for all R; the result is ``(rows/k, n)``, or ``(R, rows/k, n)``."""
+    out = lo @ t.reshape(lo.shape[-1], -1)
+    return out.reshape(lo.shape[:-1] + (-1, t.shape[-1]))
 
 
-def _contract_upper(t, extents, up, up_extents):
-    """Contract a ``(rows, n)`` stack of canonical vecs at per-mode
-    ``extents`` against the upper product ``up`` at ``up_extents``, the
-    fastest part of every mode; the mirror of :func:`_contract_lower`."""
-    (d, p, q), (d_up, p_up, q_up) = extents, up_extents
-    n = t.shape[1]
-    view = t.reshape(q // q_up, q_up, p // p_up, p_up, d // d_up, d_up, n)
-    out = np.einsum("aqbpcdn,qpd->abcn", view, np.reshape(up, (q_up, p_up, d_up)))
-    return out.reshape(-1, n)
+def _contract_upper(t, up):
+    """Contract a ``(rows, n)`` stack in layer-digit order against ``up``,
+    the upper product over its fastest digits (layers l+1..L): the mirror
+    of :func:`_contract_lower`, one matmul per slowest digit.  The result
+    is ``(rows/m, n)``, or ``(rows/m, R, n)`` for an ``(R, m)`` ``up``."""
+    return np.matmul(up, t.reshape(-1, up.shape[-1], t.shape[-1]))
 
 
 def nonoverlap_conv(x, b):
@@ -206,7 +203,8 @@ def nonoverlap_conv(x, b):
     inner product of ``b`` with the sub-lattice of ``x`` at offset
     (h, j, k) and per-mode stride equal to the output extents.  With this
     gather, ``nonoverlap_conv(tkp(a, b), b) == fro_norm(b)**2 * a``.  It is
-    :func:`_contract_lower` on the one-image stack ``vec(x)``.
+    :func:`_contract_lower` on the one-image stack ``vec(x)`` in the
+    layer-digit order of the two-level chain (b, output).
     """
     x = np.asarray(x, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -216,8 +214,9 @@ def nonoverlap_conv(x, b):
     for n, m in zip(x3.shape, b3.shape):
         if n % m != 0:
             raise DimensionError(f"kernel extents {b.shape} do not divide {x.shape}")
-    out = _contract_lower(vec(x3)[:, None], x3.shape, vec(b3), b3.shape)
-    return out.reshape([n // m for n, m in zip(x.shape, b.shape)], order="F")
+    out_dims = [n // m for n, m in zip(x3.shape, b3.shape)]
+    t = vec(x3)[reshape_T_indices(x3.shape, (b3.shape, out_dims))]
+    return _contract_lower(t[:, None], vec(b3)).reshape(out_dims[: x.ndim], order="F")
 
 
 def conv_chain_eval(x, factors):

@@ -400,6 +400,19 @@ def test_probe_rip_partial_blocks_match_single_probes():
         assert probe_rip(images, S883, n_probes=n_probes, seed=6).ratios == full.ratios[:n_probes]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_probe_rip_passes_non_finite_pixels_through(bad):
+    """``probe_rip`` does not check pixels: one non-finite pixel makes every
+    ratio, and ``delta_hat``, non-finite."""
+    g = rng.stream(26, rng.PURPOSE_IMAGES, 0)
+    images = g.standard_normal((50, 8, 8))
+    images[7, 2, 5] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        probe = probe_rip(images, S883, n_probes=12, seed=3)
+    assert not any(math.isfinite(r) for r in probe.ratios)
+    assert not math.isfinite(probe.delta_hat)
+
+
 def test_probe_rip_validation():
     images = np.zeros((4, 8, 8))
     with pytest.raises(DimensionError):

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +37,7 @@ from dkn.cli import _load_images_dir
 from dkn.dkn_fit import _vectorize_images
 from dkn.errors import DataFormatError, DegenerateDataError, DimensionError
 from dkn.glm import BERNOULLI, GAUSSIAN, IRLS_GRAD_TOL, nll_eta
-from dkn.kron_ops import compose_coeff, kron_chain, reshape_R_indices, tkp
+from dkn.kron_ops import compose_coeff, kron_chain, reshape_R_indices, reshape_T, tkp
 from dkn.tensor_core import dist, inner, unvec, vec, write_dkt
 
 S883 = DknStructure(image_dims=(8, 8), factor_dims=[(2, 2), (2, 2), (2, 2)])
@@ -51,6 +56,11 @@ def compose_image(chains, structure):
     """Composed coefficient at the image extents (drops unit modes)."""
     c = compose_coeff(chains)
     return c.reshape(structure.image_dims, order="F")
+
+
+def canonical_rows(images):
+    """The images as rows of canonical vecs, ``(n, n_voxels)``."""
+    return np.stack([vec(x) for x in images])
 
 
 def noiseless_problem(seed, n, structure, rank_chains=None):
@@ -146,8 +156,8 @@ def test_pad_images():
 
 
 def test_vectorize_images_layouts():
-    """Every accepted layout gives the voxel-major stack: C-contiguous
-    (n_voxels, n), column i the canonical vec of image i."""
+    """Every accepted layout gives the solver's stack: C-contiguous
+    (n_voxels, n), column i image i in layer-digit order."""
     rng = np.random.default_rng(1)
     x = rng.standard_normal((6, 8, 8))
     layouts = {
@@ -163,19 +173,19 @@ def test_vectorize_images_layouts():
         assert stack.shape == (64, 6), name
         assert stack.flags.c_contiguous, name
         for i in range(6):
-            assert np.array_equal(stack[:, i], vec(x[i])), name
+            assert np.array_equal(stack[:, i], reshape_T(x[i], S883.factor_dims).ravel()), name
     with pytest.raises(DimensionError):
         _vectorize_images(rng.standard_normal((6, 8, 4)), S883)
 
 
 def test_weighted_sum_is_the_stack_adjoint_for_every_layout():
     """sum_i w_i vec(X_i), summed in the images' own memory order, equals
-    the voxel-major stack times w for every accepted layout, and for
+    the rows of canonical vecs times w for every accepted layout, and for
     unpadded images of a padded structure."""
     rng = np.random.default_rng(25)
     x = rng.standard_normal((6, 8, 8))
     w = rng.standard_normal(6)
-    want = _vectorize_images(x, S883) @ w
+    want = w @ canonical_rows(x)
     layouts = {
         "stack": x,
         "list": [x[i] for i in range(6)],
@@ -188,7 +198,7 @@ def test_weighted_sum_is_the_stack_adjoint_for_every_layout():
         assert_allclose(dkn_fit._weighted_sum(images, w, S883), want, rtol=1e-12, err_msg=name)
     structure, padded_from = auto_structure((6, 5))
     small = rng.standard_normal((6, 6, 5))
-    padded = _vectorize_images(small, structure, padded_from) @ w
+    padded = w @ canonical_rows(pad_images(small, padded_from, structure.image_dims))
     got = dkn_fit._weighted_sum(small, w, structure, padded_from)
     assert_allclose(got, padded, rtol=1e-12)
 
@@ -393,9 +403,9 @@ def test_fit_objective_is_the_coefficient_nll(family):
     y = rng.standard_normal(60) if family == "gaussian" else (rng.random(60) < 0.5) * 1.0
     options = FitOptions(max_sweeps=4, tol=0.0, trace_factors=True)
     _, report = fit(images, y, structure, family=family, options=options)
-    vec_x = _vectorize_images(images, structure)
+    rows = canonical_rows(images)
     fam = GAUSSIAN if family == "gaussian" else BERNOULLI
-    want = [nll_eta(fam, vec(compose_coeff(f)) @ vec_x, y) for f in report.snapshots]
+    want = [nll_eta(fam, rows @ vec(compose_coeff(f)), y) for f in report.snapshots]
     assert_allclose(report.objective_trace, want, rtol=1e-12)
 
 
@@ -675,9 +685,9 @@ def test_fit_pure_noise_bounded_by_least_squares():
     model, report = fit(images, y, S883)
     resid = y - predict(model, images)
     rss = float(resid @ resid)
-    xs = _vectorize_images(images, S883)
-    ols = np.linalg.lstsq(xs.T, y, rcond=None)[0]
-    rss_ols = float(np.sum((y - ols @ xs) ** 2))
+    rows = canonical_rows(images)
+    ols = np.linalg.lstsq(rows, y, rcond=None)[0]
+    rss_ols = float(np.sum((y - rows @ ols) ** 2))
     assert rss >= rss_ols - 1e-8
     assert rss <= float(y @ y) + 1e-8
 
@@ -806,6 +816,105 @@ def test_save_load_round_trip(tmp_path):
     for c1, c2 in zip(model.factors, back.factors):
         for f1, f2 in zip(c1, c2):
             assert np.array_equal(f1, f2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.sampled_from((2, 3, 5, 6, 7, 10, 12)), min_size=1, max_size=3).filter(
+        lambda dims: auto_structure(dims)[1] is not None and np.prod(dims) <= 600
+    ),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_padded_fit_crops_back_to_the_original_extents(dims, rank, seed):
+    """A fit on images at awkward extents, zero-padded by ``auto_structure``,
+    gives a coefficient at the original extents, predicts the unpadded
+    images as it predicts their padded copies, and keeps ``padded_from``
+    through ``save_model``/``load_model``."""
+    structure, padded_from = auto_structure(dims, 1)
+    # The spectral init needs rank R directions at every layer boundary.
+    cap = min(
+        min(np.prod(structure.upper_extents(l)), np.prod(structure.lower_extents(l - 1)))
+        for l in range(2, structure.depth + 1)
+    )
+    structure = replace(structure, rank=int(min(rank, cap)))
+    rng = np.random.default_rng(seed)
+    images = rng.standard_normal((40,) + tuple(dims))
+    y = rng.standard_normal(40)
+    options = FitOptions(max_sweeps=3, tol=0.0)
+    model, _ = fit(images, y, structure, options=options, padded_from=padded_from)
+    assert model.padded_from == tuple(dims)
+    assert model.coefficient().shape == tuple(dims)
+    assert model.coefficient(crop=False).shape == structure.image_dims
+    got = predict(model, images)
+    want = predict(model, pad_images(images, padded_from, structure.image_dims))
+    scale = float(np.max(np.abs(canonical_rows(images)) @ np.abs(vec(model.coefficient()))))
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    with tempfile.TemporaryDirectory() as out:
+        save_model(model, out)
+        back = load_model(out)
+    assert back.padded_from == tuple(dims)
+    assert_allclose(predict(back, images), got, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_pixels_pass_through_to_their_rows(bad):
+    """``predict`` and ``build_design`` do not check pixels: the non-finite
+    rows of their output are exactly the images with a non-finite pixel,
+    and every other row is what it is without them."""
+    rng = np.random.default_rng(43)
+    structure = DknStructure(image_dims=(8, 12), factor_dims=[(2, 2), (2, 2), (2, 3)], rank=2)
+    model = DknModel(structure=structure, factors=random_chains(rng, structure))
+    clean = rng.standard_normal((20, 8, 12))
+    images = clean.copy()
+    images[3, 0, 0] = bad
+    images[11, 5, 7] = bad
+    images[11, 7, 11] = bad
+    bad_rows = [3, 11]
+    # numpy may warn about the invalid arithmetic; the rows are the contract.
+    with np.errstate(invalid="ignore", over="ignore"):
+        pred = predict(model, images)
+        designs = [
+            build_design(images, structure, l, partial_products(model, l + 1, "left"),
+                         partial_products(model, l - 1, "right"))
+            for l in range(1, structure.depth + 1)
+        ]
+    assert np.flatnonzero(~np.isfinite(pred)).tolist() == bad_rows
+    ok = np.isfinite(pred)
+    assert_allclose(pred[ok], predict(model, clean)[ok], rtol=1e-12)
+    for l, design in enumerate(designs, start=1):
+        rows = np.flatnonzero(~np.all(np.isfinite(design), axis=1))
+        assert rows.tolist() == bad_rows, l
+        left = partial_products(model, l + 1, "left")
+        want = build_design(clean, structure, l, left, partial_products(model, l - 1, "right"))
+        assert_allclose(design[ok], want[ok], rtol=1e-12)
+
+
+def test_fit_trace_agrees_across_blas_thread_counts():
+    """Byte-identity holds for a fixed BLAS thread count; across 1 and 2
+    threads one fit's objective trace agrees within 1e-12 relative."""
+    code = (
+        "import json, numpy as np\n"
+        "from dkn.dkn_fit import FitOptions, auto_structure, fit\n"
+        "rng = np.random.default_rng(5)\n"
+        "x = rng.standard_normal((600, 32, 32))\n"
+        "y = x[:, 8:16, 8:16].sum(axis=(1, 2)) + rng.standard_normal(600)\n"
+        "structure, _ = auto_structure((32, 32), 2)\n"
+        "opts = FitOptions(max_sweeps=6, tol=0.0)\n"
+        "print(json.dumps(fit(x, y, structure, options=opts)[1].objective_trace))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    traces = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        traces.append(json.loads(proc.stdout))
+    assert len(traces[0]) == len(traces[1]) == 6
+    assert_allclose(traces[1], traces[0], rtol=1e-12)
 
 
 def test_load_model_rejects_malformed_directories(tmp_path):

@@ -18,6 +18,7 @@ from dkn.kron_ops import (
     reshape_R,
     reshape_R_indices,
     reshape_T,
+    reshape_T_indices,
     tkp,
 )
 from dkn.tensor_core import dist, fro_norm, inner, unvec, vec
@@ -244,13 +245,35 @@ def test_regroup_extent_validation():
 
 
 def conv_oracle(x, b):
-    """The einsum ``nonoverlap_conv`` ran before it became ``_contract_lower``
-    on a one-image stack; kept as the oracle for that primitive."""
+    """The einsum ``nonoverlap_conv`` ran before it became a contraction of
+    the stack; kept as the oracle for that primitive."""
     x3 = x.reshape(_triple(x.shape), order="F")
     b3 = b.reshape(_triple(b.shape), order="F")
     od, op, oq = (n // m for n, m in zip(x3.shape, b3.shape))
     x6 = x3.reshape((od, b3.shape[0], op, b3.shape[1], oq, b3.shape[2]), order="F")
     return np.einsum("aubvcw,uvw->abc", x6, b3)
+
+
+def lower_oracle(t, extents, lo, lo_extents):
+    """The einsum contraction of a ``(rows, n)`` stack of canonical vecs at
+    per-mode ``extents`` against the lower product ``lo`` at ``lo_extents``,
+    the slowest part of every mode: the strided primitive the solver used
+    while its stack was in canonical order."""
+    (d, p, q), (d_lo, p_lo, q_lo) = extents, lo_extents
+    n = t.shape[1]
+    view = t.reshape(q_lo, q // q_lo, p_lo, p // p_lo, d_lo, d // d_lo, n)
+    out = np.einsum("qapbdcn,qpd->abcn", view, np.reshape(lo, (q_lo, p_lo, d_lo)))
+    return out.reshape(-1, n)
+
+
+def upper_oracle(t, extents, up, up_extents):
+    """The mirror of :func:`lower_oracle`: ``up`` at ``up_extents`` is the
+    fastest part of every mode."""
+    (d, p, q), (d_up, p_up, q_up) = extents, up_extents
+    n = t.shape[1]
+    view = t.reshape(q // q_up, q_up, p // p_up, p_up, d // d_up, d_up, n)
+    out = np.einsum("aqbpcdn,qpd->abcn", view, np.reshape(up, (q_up, p_up, d_up)))
+    return out.reshape(-1, n)
 
 
 def upper_entry_formula(x, b):
@@ -270,7 +293,7 @@ def upper_entry_formula(x, b):
 def test_conv_entry_formula():
     """out[h,j,k] = sum_uvw b[u,v,w] * x[h + od*u, j + op*v, k + oq*w] for
     ``nonoverlap_conv`` and its oracle, the kernel the slowest part of each
-    mode; ``_contract_upper`` takes the kernel as the fastest part instead."""
+    mode; ``upper_oracle`` takes the kernel as the fastest part instead."""
     rng = np.random.default_rng(14)
     x = rng.standard_normal((4, 6, 2))
     b = rng.standard_normal((2, 3, 2))
@@ -278,7 +301,7 @@ def test_conv_entry_formula():
     old = conv_oracle(x, b)
     od, op, oq = 2, 2, 1
     assert out.shape == (od, op, oq)
-    up = unvec(_contract_upper(vec(x)[:, None], x.shape, vec(b), b.shape), out.shape)
+    up = unvec(upper_oracle(vec(x)[:, None], x.shape, vec(b), b.shape), out.shape)
     for h in range(od):
         for j in range(op):
             for k in range(oq):
@@ -295,37 +318,81 @@ def test_conv_entry_formula():
     assert_allclose(up, upper_entry_formula(x, b), rtol=1e-12)
 
 
+@st.composite
+def chain_extents(draw):
+    """Per-level extents of an order 1..3 chain of 2..4 levels, and a layer."""
+    k = draw(st.integers(1, 3))
+    depth = draw(st.integers(2, 4))
+    fd = [tuple(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))) for _ in range(depth)]
+    return fd, draw(st.integers(1, depth))
+
+
+def composed(fd):
+    """Per-mode extents of the levels in ``fd`` composed; (1, 1, 1) for none."""
+    return tuple(int(np.prod([_triple(f)[m] for f in fd])) for m in range(3))
+
+
+def digit_order(fd):
+    """Index map into layer-digit order for the levels in ``fd``."""
+    return reshape_T_indices(composed(fd), fd) if fd else slice(None)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=3).flatmap(
-        lambda k: st.tuples(
-            st.lists(st.integers(1, 4), min_size=k, max_size=k),
-            st.lists(st.integers(1, 4), min_size=k, max_size=k),
-        )
-    ),
+    chain_extents(),
+    st.integers(min_value=1, max_value=2),
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_contraction_primitive_matches_oracles(extents, n, seed):
-    """On a stack of n images, column i of ``_contract_lower`` is the old
-    einsum convolution of image i, and column i of ``_contract_upper`` is
-    the entry formula with the kernel fastest, for any kernel."""
-    kernel_dims, rest_dims = (tuple(e) for e in extents)
-    dims = tuple(a * b for a, b in zip(kernel_dims, rest_dims))
+def test_contraction_primitive_matches_oracles(extents, rank, n, seed):
+    """On the stack mapped into layer-digit order, ``_contract_lower`` and
+    ``_contract_upper`` equal the einsum oracles on the canonical stack,
+    mapped the same way, for R products at once and for each alone; the
+    oracles equal the convolution and the kernel-fastest entry formula."""
+    fd, l = extents
+    dims = composed(fd)
+    lo_fd, up_fd = fd[: l - 1], fd[l:]
     rng = np.random.default_rng(seed)
-    images = rng.standard_normal((n,) + dims)
-    b = rng.standard_normal(kernel_dims)
+    images = rng.standard_normal((n,) + tuple(dims[: len(fd[0])]))
     stack = np.stack([vec(x) for x in images], axis=1)
-    lower = _contract_lower(stack, _triple(dims), vec(b), _triple(kernel_dims))
-    upper = _contract_upper(stack, _triple(dims), vec(b), _triple(kernel_dims))
-    assert lower.shape == upper.shape == (int(np.prod(rest_dims)), n)
-    for i, x in enumerate(images):
+    mapped = stack[reshape_T_indices(dims, fd)]
+    lows = rng.standard_normal((rank, int(np.prod(composed(lo_fd)))))
+    ups = rng.standard_normal((rank, int(np.prod(composed(up_fd)))))
+    got_lower = _contract_lower(mapped, lows[:, digit_order(lo_fd)])
+    got_upper = _contract_upper(mapped, ups[:, digit_order(up_fd)])
+    for r in range(rank):
+        lower = lower_oracle(stack, dims, lows[r], composed(lo_fd))
+        upper = upper_oracle(stack, dims, ups[r], composed(up_fd))
         # Rounding is bounded by the sum of absolute products in each entry.
-        scale = float(conv_oracle(np.abs(x), np.abs(b)).max())
-        assert_allclose(lower[:, i], vec(conv_oracle(x, b)), rtol=1e-12, atol=1e-12 * scale)
-        scale = float(upper_entry_formula(np.abs(x), np.abs(b)).max())
-        want = vec(upper_entry_formula(x, b))
-        assert_allclose(upper[:, i], want, rtol=1e-12, atol=1e-12 * scale)
+        lo_scale = float(lower_oracle(np.abs(stack), dims, np.abs(lows[r]), composed(lo_fd)).max())
+        up_scale = float(upper_oracle(np.abs(stack), dims, np.abs(ups[r]), composed(up_fd)).max())
+        want = lower[digit_order(fd[l - 1 :])]
+        assert_allclose(got_lower[r], want, rtol=1e-12, atol=1e-12 * lo_scale)
+        alone = _contract_lower(mapped, lows[r, digit_order(lo_fd)])
+        assert_allclose(alone, want, rtol=1e-12, atol=1e-12 * lo_scale)
+        want = upper[digit_order(fd[:l])]
+        assert_allclose(got_upper[:, r], want, rtol=1e-12, atol=1e-12 * up_scale)
+        alone = _contract_upper(mapped, ups[r, digit_order(up_fd)])
+        assert_allclose(alone, want, rtol=1e-12, atol=1e-12 * up_scale)
+        for i, x in enumerate(images):
+            kernel = unvec(lows[r], composed(lo_fd))
+            assert_allclose(lower[:, i], vec(conv_oracle(x, kernel)), rtol=1e-12, atol=1e-12 * lo_scale)
+            kernel = unvec(ups[r], composed(up_fd))
+            assert_allclose(upper[:, i], vec(upper_entry_formula(x, kernel)), rtol=1e-12, atol=1e-12 * up_scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_extents(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_reshape_T_index_map_gathers(extents, seed):
+    """``vec(c)[reshape_T_indices(...)]`` is ``reshape_T(c).ravel()``, and on
+    a chain it is the outer product of the vecs, level 1 slowest."""
+    fd, _ = extents
+    rng = np.random.default_rng(seed)
+    chain = [rng.standard_normal(f) for f in fd]
+    c = kron_chain(chain)
+    got = vec(c)[reshape_T_indices(c.shape, fd)]
+    assert np.array_equal(got, reshape_T(c, fd).ravel())
+    assert_allclose(got, cp_outer_oracle([chain]).ravel(), rtol=1e-13)
 
 
 def test_conv_projects_out_matching_factor():
