@@ -7,8 +7,11 @@ formatting.  Repeating a command with identical inputs reproduces every
 output byte for byte.
 
 Exit codes: 0 on success, 2 on validation errors (bad arguments, malformed
-files, mismatched extents), 3 on solver failures (singular systems,
-non-convergence, degenerate data).
+files, mismatched extents), 3 on solver failures (singular systems, a layer
+solve that does not converge, degenerate data).  A fit that stops at
+``--max-sweeps`` before reaching ``--tol`` is not a failure: ``fit`` and
+``scan-rank`` still exit 0, write its report (``converged`` false), and
+print one line on standard error per such rank.
 """
 
 import argparse
@@ -246,6 +249,12 @@ def cmd_fit(args):
                     report.to_dict(include_timing=False))
         print(f"fit: rank {structure.rank}, {report.sweeps} sweeps, "
               f"converged={report.converged}, model in {args.out}")
+    reports = scan.reports if scanning else {structure.rank: report}
+    for rank, rep in sorted(reports.items()):
+        if not rep.converged:
+            print(f"dkn {args.command}: rank {rank} did not converge: {rep.sweeps} sweeps, "
+                  f"final_rel_change {rep.final_rel_change:.6g} (tol {args.tol:g})",
+                  file=sys.stderr)
     return EXIT_OK
 
 

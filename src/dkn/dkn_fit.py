@@ -22,14 +22,16 @@ Images enter as an (n, *image_dims) stack (a list of tensors or an
 copies them once into its stack, (n_voxels, n) with the samples fastest
 and each column in layer-digit order (``kron_ops.reshape_T``), where a
 chain is ``np.kron(vec(B_1), ..., vec(B_L))``: every contraction against
-a partial product is then one contiguous matmul.  ``fit`` carries the
-stack, contracted against this sweep's lower factors, up the sweep as in
-``conv_chain_eval``, |B_l| times smaller at every layer; layer 1's design
-and lower contraction each read the stack once for all R terms.  A sweep
-costs about 2 (1 + 1/|B_1| + ...) passes over the stack, and its
-objective comes from the layer-L design.  ``build_design`` (so
-``sweep_update``) and ``diagnostics.probe_tau0`` map canonical products
-into that order.  The response-weighted aggregate, prediction and the BIC
+a partial product is then one contiguous matmul.  ``fit`` splits each
+sweep at a layer m fixed by the structure.  Before layer 1 the stack is
+contracted against every term's upper product of layers m+1..L, and
+after layer m's solve against every term's new lower product of layers
+1..m; each half carries its result up the sweep as in
+``conv_chain_eval``, |B_l| times smaller at every layer.  So from sweep
+2 on a sweep makes two passes over the stack, each one matmul for all R
+terms, and its objective comes from the layer-L design.
+``build_design`` (so ``sweep_update``) and ``diagnostics.probe_tau0`` map
+canonical products into that order.  The response-weighted aggregate, prediction and the BIC
 sum over the images in their own memory order and build no stack.
 Pixels are checked by ``fit`` only: elsewhere a non-finite pixel passes
 through to its image's prediction or design row.
@@ -42,6 +44,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -517,6 +520,31 @@ def _digits(structure, first, last):
     return reshape_T_indices(np.prod(fd, axis=0), fd) if fd else slice(None)
 
 
+def _split_layer(structure):
+    """The layer m in 1..L-1 at which ``fit`` splits each sweep's chain: the
+    one minimising K_m + n_voxels / K_m, where K_m = |B_1| ... |B_m| and
+    n_voxels / K_m are the rows each term keeps of the stack contracted
+    against its upper and its lower products (ties go to the lower layer)."""
+    k = np.cumprod([structure.layer_size(l) for l in range(1, structure.depth)])
+    return 1 + int(np.argmin(k + structure.n_voxels // k))
+
+
+def _lower_product(chain, l):
+    """A term's lower product of layers 1..l in layer-digit order,
+    ``np.kron(vec(B_1), ..., vec(B_l))``."""
+    return reduce(np.kron, [vec(f) for f in chain[:l]])
+
+
+def _upper_products(factors, top, last):
+    """Every term's upper products in layer-digit order, ``{l: [...]}`` for
+    l = 2..last+1: its layers l..last composed onto ``top[r]``, which is
+    the entry at last+1."""
+    out = {last + 1: top}
+    for l in range(last, 1, -1):
+        out[l] = [np.kron(vec(chain[l - 1]), u) for chain, u in zip(factors, out[l + 1])]
+    return out
+
+
 def _layer_design(lows, ups):
     """The layer-l design, ``(n, R * d_l * p_l * q_l)``, from each term's
     stack already contracted against its lower product (layers 1..l-1) and
@@ -666,7 +694,12 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     products from the previous sweep and lower products already refreshed
     this sweep; after layer L the upper products are recomposed from the
     new factors.  Stops when the objective's relative change drops below
-    ``options.tol`` or after ``options.max_sweeps`` sweeps.
+    ``options.tol`` or after ``options.max_sweeps`` sweeps.  A partial
+    product whose norm falls below ``COLLAPSE_TOL`` is reseeded and logged
+    in ``report.collapse_events``: an upper one for its layer's solve only,
+    a lower one (layers 1..l-1) by unit random factors that replace that
+    term's factors of those layers, so every recorded objective is the nll
+    of the factors the fit holds at the end of its sweep.
     """
     t0 = time.perf_counter()
     options = options or FitOptions()
@@ -711,48 +744,75 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     reseed_count = 0
 
     def _reseed(side, l, r, t):
-        """A unit vector for term r's collapsed product, in layer-digit order."""
+        """Term r's collapsed product, reseeded in layer-digit order: its upper
+        product (layers l+1..L) by an unused spectral direction or a random
+        unit vector, or its lower product (layers 1..l-1) by the chain of
+        random unit factors, which are written into ``factors``."""
         nonlocal reseed_count
-        event = {"sweep": t, "layer": l, "term": r + 1, "side": side}
-        first, last = (l + 1, L) if side == "left" else (1, l - 1)
-        if side == "left" and pools.get(l + 1):
+        event = {"sweep": t, "layer": l, "term": r + 1, "side": side, "source": "random"}
+        g = rng.stream(options.seed, rng.PURPOSE_RESEED, reseed_count)
+        reseed_count += 1
+        report.collapse_events.append(event)
+        if side == "right":
+            for k in range(l - 1):
+                f = g.standard_normal(structure.layer_size(k + 1))
+                factors[r][k] = unvec(f / np.linalg.norm(f), structure.factor_dims[k])
+            return _lower_product(factors[r], l - 1)
+        if pools.get(l + 1):
             v = pools[l + 1].pop(0)
             event["source"] = "svd_pool"
         else:
-            g = rng.stream(options.seed, rng.PURPOSE_RESEED, reseed_count)
-            v = g.standard_normal(int(np.prod(structure.factor_dims[first - 1 : last])))
+            v = g.standard_normal(int(np.prod(structure.factor_dims[l:])))
             v /= np.linalg.norm(v)
-            event["source"] = "random"
-        reseed_count += 1
-        report.collapse_events.append(event)
-        return v[_digits(structure, first, last)]
+        return v[_digits(structure, l + 1, L)]
 
     # up[l][r]: term r's upper product (layers l..L) in layer-digit order.
     up = {l: [v[_digits(structure, l, L)] for v in vs] for l, vs in left.items()}
+    split = _split_layer(structure)
     prev_obj = None
     for t in range(1, options.max_sweeps + 1):
-        # low: the stack contracted against each term's lower product, whose
-        # norm is lo_norm; at layer 1 the stack itself, shared by every term.
-        low, lo_norm = vec_x, [1.0] * R
+        collapsed = {
+            (l, r) for l in range(1, L + 1) for r in range(R)
+            if np.linalg.norm(up[l + 1][r]) < COLLAPSE_TOL
+        }
+        # The sweep reads the stack twice, split at layer m.  Before layer 1
+        # it is contracted against every term's upper product of layers
+        # m+1..L, and layers 1..m carry their designs up from each term's
+        # (K_m, n) result against its upper products of layers l+1..m
+        # (``mid``).  After layer m's solve it is contracted against every
+        # term's new lower product of layers 1..m, and layers m+1..L carry
+        # theirs up from that.  Spectral seeds and reseeded upper products
+        # are not chains of factors, so such a sweep has m = 0: one chain
+        # from the stack itself, shared by every term at layer 1.
+        m = 0 if t == 1 or collapsed else split
+        if m:  # base[r]: the stack against term r's upper product of m+1..L
+            hi = _contract_upper(vec_x, np.stack(up[m + 1]))  # (K_m, R, n)
+            base = list(np.ascontiguousarray(hi.transpose(1, 0, 2)))
+            mid = _upper_products(factors, [np.ones(1)] * R, m)
+        # low: base[r] up to layer m, the stack after it, contracted against
+        # term r's lower product, whose norm is lo_norm; at layer 1 the base.
+        low, lo_norm = base if m else vec_x, [1.0] * R
         for l in range(1, L + 1):
             for r in range(R):
-                if np.linalg.norm(up[l + 1][r]) < COLLAPSE_TOL:
+                if (l, r) in collapsed:
                     up[l + 1][r] = _reseed("left", l, r, t)
                 if l > 1 and lo_norm[r] < COLLAPSE_TOL:  # layer 1's lower product is 1
-                    low[r], lo_norm[r] = _contract_lower(vec_x, _reseed("right", l, r, t)), 1.0
-            design = _layer_design(low, up[l + 1])
+                    lo = _reseed("right", l, r, t)
+                    low[r], lo_norm[r] = _contract_lower(base[r] if l <= m else vec_x, lo), 1.0
+            design = _layer_design(low, mid[l + 1] if l <= m else up[l + 1])
             beta0 = _stack_layer(factors, l) if t > 1 else None  # last sweep's layer l
             beta = _solve_layer(family, design, y, options.ridge, beta0)
             layer = _split_beta(beta, structure, l)
             for r, f in enumerate(layer):
                 factors[r][l - 1] = f
                 lo_norm[r] *= float(np.linalg.norm(f))
-            if l < L:  # carry the chain up one layer: one matmul for every term at layer 1
-                vecs = np.stack([vec(f) for f in layer])
-                low = list(_contract_lower(vec_x, vecs) if l == 1 else map(_contract_lower, low, vecs))
+            if l == max(m, 1):  # the stack's second pass: one matmul for every term
+                lows = np.stack([_lower_product(chain, l) for chain in factors])
+                low = list(_contract_lower(vec_x, lows))
+            elif l < L:  # carry the chain up one layer
+                low = list(map(_contract_lower, low, [vec(f) for f in layer]))
         # Downward pass: recompose the upper products from this sweep's factors.
-        for l in range(L, 1, -1):
-            up[l] = [np.kron(vec(chain[l - 1]), u) for chain, u in zip(factors, up[l + 1])]
+        up = _upper_products(factors, up[L + 1], L)
 
         # The layer-L design is the stack contracted against every lower
         # product, so design @ beta is the coefficient's linear predictor.

@@ -12,9 +12,11 @@ normal-equations solve for gaussian, damped iteratively reweighted least
 squares for bernoulli.  IRLS may be warm-started from a caller's ``beta0``
 (the alternating sweep hands in the layer's previous factors); it starts
 there only when that lowers the penalized objective below its value at
-zero.  Bernoulli linear predictors are clamped to [-30, 30] before
-exponentiation; beyond that range the sigmoid is flat to double precision
-anyway.
+zero.  The bernoulli cumulant psi(eta) = log(1 + e^eta) is evaluated
+exactly, as ``np.logaddexp(0, eta)``, which cannot overflow; only its mean
+clamps eta to [-30, 30] before exponentiation, where the sigmoid is flat
+to double precision anyway.  So the nll that IRLS step halving tests keeps
+falling with |eta| beyond the clamp, as its gradient does.
 """
 
 from dataclasses import dataclass
@@ -82,7 +84,7 @@ class _Bernoulli(GlmFamily):
     name = "bernoulli"
 
     def psi(self, eta):
-        return np.logaddexp(0.0, np.clip(eta, -ETA_CLAMP, ETA_CLAMP))
+        return np.logaddexp(0.0, eta)
 
     def mean(self, eta):
         z = np.clip(eta, -ETA_CLAMP, ETA_CLAMP)

@@ -134,6 +134,33 @@ def test_fit_scan_selects_rank_and_reports_bic(tmp_path):
     assert (out / "fit_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["fit"], ["fit", "--rank", "scan", "--ranks", "1,2"], ["scan-rank", "--ranks", "1,2"]],
+)
+def test_fit_reports_non_convergence_on_stderr_and_exits_0(tmp_path, capsys, command):
+    """A fit cut off by --max-sweeps still succeeds, and each rank that did
+    not converge gets one stderr line with its sweeps and last change."""
+    imgdir, ycsv, _, _, _ = write_rank1_dataset(tmp_path, n=200, seed=13)
+    out = tmp_path / "model"
+    assert main(command + ["--images", imgdir, "--y", ycsv, "--out", str(out),
+                           "--max-sweeps", "2", "--tol", "0"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    ranks = [1, 2] if len(command) > 1 else [1]
+    assert len(err) == len(ranks)
+    scan = (out / "scan_report.json").exists()
+    reports = (json.loads((out / "scan_report.json").read_text())["reports"] if scan
+               else {"1": json.loads((out / "fit_report.json").read_text())})
+    for line, rank in zip(err, ranks):
+        rep = reports[str(rank)]
+        assert rep["converged"] is False and rep["sweeps"] == 2
+        assert line == (f"dkn {command[0]}: rank {rank} did not converge: 2 sweeps, "
+                        f"final_rel_change {rep['final_rel_change']:.6g} (tol 0)")
+
+    assert main(command + ["--images", imgdir, "--y", ycsv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_fit_reads_structure_file(tmp_path):
     imgdir, ycsv, _, _, _ = write_rank1_dataset(tmp_path, n=120, seed=17)
     spath = tmp_path / "structure.json"

@@ -268,26 +268,41 @@ def test_build_design_matches_gather(dims, rank, n, seed):
 
 def record_designs(mp):
     """Patch ``dkn_fit._solve_layer`` to keep a copy of every design it is
-    handed, in call order: one per (sweep, layer)."""
-    designs = []
+    handed and of the solution it returns, in call order: one per (sweep,
+    layer)."""
+    designs, betas = [], []
     solve = dkn_fit._solve_layer
 
     def spy(family, design, y, ridge, beta0=None):
         designs.append(np.array(design))
-        return solve(family, design, y, ridge, beta0)
+        betas.append(solve(family, design, y, ridge, beta0))
+        return betas[-1]
 
     mp.setattr(dkn_fit, "_solve_layer", spy)
-    return designs
+    return designs, betas
 
 
-def sweep_partial_products(report, structure, seed):
+def reseeded_factors(structure, seed, k, l):
+    """The unit random factors of layers 1..l-1 that collapse event k, a
+    lower-side reseed at layer l, draws from its reseed stream."""
+    g = rng_mod.stream(seed, rng_mod.PURPOSE_RESEED, k)
+    out = []
+    for fd in structure.factor_dims[: l - 1]:
+        f = g.standard_normal(int(np.prod(fd)))
+        out.append(unvec(f / np.linalg.norm(f), fd))
+    return out
+
+
+def sweep_partial_products(report, betas, structure, seed):
     """(upper, lower) products of every (sweep, layer) solve, rebuilt from a
-    fit report: upper products from the spectral seeds in sweep 1 and from
-    the previous sweep's factors after it; lower products from this sweep's
-    factors, restarted from the seeded stream at each lower-side reseed."""
+    fit report and the solutions of the solves: upper products from the
+    spectral seeds in sweep 1 and from the previous sweep's factors after
+    it; lower products from this sweep's solutions, restarted at each
+    lower-side reseed from the chain of the factors it drew."""
     L, R = structure.depth, structure.rank
     out = []
-    for t, factors in enumerate(report.snapshots, start=1):
+    solutions = iter(betas)
+    for t in range(1, report.sweeps + 1):
         if t == 1:
             ups = report.init_left_products
         else:
@@ -298,13 +313,11 @@ def sweep_partial_products(report, structure, seed):
             for k, e in enumerate(report.collapse_events):
                 assert e["side"] == "right"  # upper reseeds are not rebuilt here
                 if (e["sweep"], e["layer"]) == (t, l):
-                    v = rng_mod.stream(seed, rng_mod.PURPOSE_RESEED, k).standard_normal(
-                        lows[e["term"] - 1].size
-                    )
-                    lows[e["term"] - 1] = v / np.linalg.norm(v)
+                    lows[e["term"] - 1] = vec(kron_chain(reseeded_factors(structure, seed, k, l)))
             out.append((ups[l + 1], lows))
+            layer = dkn_fit._split_beta(next(solutions), structure, l)
             lows = [
-                vec(tkp(factors[r][l - 1], unvec(lows[r], structure.lower_extents(l - 1))))
+                vec(tkp(layer[r], unvec(lows[r], structure.lower_extents(l - 1))))
                 for r in range(R)
             ]
     return out
@@ -312,9 +325,9 @@ def sweep_partial_products(report, structure, seed):
 
 def assert_sweep_designs_match_gather(images, y, structure, family, options, padded_from=None):
     with pytest.MonkeyPatch.context() as mp:
-        designs = record_designs(mp)
+        designs, betas = record_designs(mp)
         _, report = fit(images, y, structure, family=family, options=options, padded_from=padded_from)
-    products = sweep_partial_products(report, structure, options.seed)
+    products = sweep_partial_products(report, betas, structure, options.seed)
     assert len(designs) == len(products) == report.sweeps * structure.depth
     if padded_from is not None:
         images = pad_images(images, padded_from, structure.image_dims)
@@ -337,6 +350,7 @@ def assert_sweep_designs_match_gather(images, y, structure, family, options, pad
 @example([5], 3, "gaussian", 0)
 @example([12, 20], 2, "bernoulli", 1)
 @example([5, 12, 20], 3, "gaussian", 2)
+@example([20, 20, 20], 1, "bernoulli", 5060419)
 def test_fit_sweep_designs_match_gather(dims, rank, family, seed):
     """Every design the sweep solves, built from the lower chain it carries
     up the sweep, equals the gathered design at that sweep's partial
@@ -393,6 +407,40 @@ def test_fit_sweep_designs_match_gather_after_lower_reseed(monkeypatch):
     assert {(e["layer"], e["side"]) for e in report.collapse_events} == {(2, "right"), (3, "right")}
 
 
+def test_lower_reseed_inside_the_split_records_the_returned_factors(monkeypatch):
+    """The lower-reseed instance at four layers, split at m = 2, with the
+    collapse threshold raised only from sweep 2 on, so that sweep 1 leaves
+    chains of factors and sweep 2 runs split: its lower products collapse
+    at layer 2 (inside layers 1..m) and at layers 3 and 4 (after the
+    split).  Each reseed writes its random factors into the fit, so the
+    designs match the gathered ones at their chains and every recorded
+    objective is the nll of the snapshot's coefficient (-1.3e-17 and -1.2e-18;
+    the floor is 1e-12 of |y|^2, 4e-29)."""
+    structure = DknStructure(
+        image_dims=(8, 12), factor_dims=[(2, 1), (2, 2), (2, 2), (1, 3)], rank=2
+    )
+    assert dkn_fit._split_layer(structure) == 2
+    rng = np.random.default_rng(23)
+    images = rng.standard_normal((30, 8, 12))
+    y = 1e-9 * rng.standard_normal(30)
+    solve, solves = dkn_fit._solve_layer, []
+
+    def raise_threshold_after_sweep_1(family, design, y, ridge, beta0=None):
+        solves.append(solve(family, design, y, ridge, beta0))
+        if len(solves) == structure.depth:
+            monkeypatch.setattr(dkn_fit, "COLLAPSE_TOL", 1e-4)
+        return solves[-1]
+
+    monkeypatch.setattr(dkn_fit, "_solve_layer", raise_threshold_after_sweep_1)
+    options = FitOptions(max_sweeps=2, tol=0.0, trace_factors=True, ridge=0.0, seed=4)
+    report = assert_sweep_designs_match_gather(images, y, structure, "gaussian", options)
+    events = {(e["sweep"], e["layer"], e["side"]) for e in report.collapse_events}
+    assert events == {(2, 2, "right"), (2, 3, "right"), (2, 4, "right")}
+    rows = canonical_rows(images)
+    want = [nll_eta(GAUSSIAN, rows @ vec(compose_coeff(f)), y) for f in report.snapshots]
+    assert_allclose(report.objective_trace, want, rtol=0.0, atol=1e-12 * float(y @ y))
+
+
 @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
 def test_fit_objective_is_the_coefficient_nll(family):
     """The objective the sweep records, taken from the layer-L design, is the
@@ -406,6 +454,106 @@ def test_fit_objective_is_the_coefficient_nll(family):
     rows = canonical_rows(images)
     fam = GAUSSIAN if family == "gaussian" else BERNOULLI
     want = [nll_eta(fam, rows @ vec(compose_coeff(f)), y) for f in report.snapshots]
+    assert_allclose(report.objective_trace, want, rtol=1e-12)
+
+
+def record_contractions(mp, structure):
+    """Patch ``dkn_fit``'s two contraction primitives and its layer solve to
+    log every contraction as (primitive, input size, product length) under
+    the sweep it belongs to: a sweep's contractions run after the previous
+    sweep's last solve."""
+    calls, solves = {}, [0]
+
+    def spy(name, contract):
+        def logged(t, prod):
+            calls.setdefault(solves[0] // structure.depth + 1, []).append(
+                (name, t.size, np.shape(prod)[-1])
+            )
+            return contract(t, prod)
+
+        return logged
+
+    solve = dkn_fit._solve_layer
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return solve(*args, **kwargs)
+
+    mp.setattr(dkn_fit, "_contract_lower", spy("lower", dkn_fit._contract_lower))
+    mp.setattr(dkn_fit, "_contract_upper", spy("upper", dkn_fit._contract_upper))
+    mp.setattr(dkn_fit, "_solve_layer", counted)
+    return calls
+
+
+def stack_passes(calls, n_floats):
+    """The (primitive, product length) of every contraction that reads a
+    whole stack of ``n_floats``."""
+    return sorted((name, k) for name, size, k in calls if size == n_floats)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_fit_reads_the_stack_twice_per_sweep(rank):
+    """From sweep 2 on, a sweep reads the stack twice, whatever the rank and
+    depth: once against every term's upper product of layers m+1..L and
+    once against its lower product of layers 1..m.  All other reads are of
+    each term's (K_m, n) and (n_voxels / K_m, n) arrays and of the smaller
+    ones carried up from them; their rows at least halve per layer, so each
+    chain reads less than twice its first array, twice.  That bounds a
+    sweep's reads by 2 n_voxels n + 4 R n (K_m + n_voxels / K_m) floats."""
+    for side in (4, 8, 16, 32):  # depths 2..5 of 2x2 factors
+        structure, _ = auto_structure((side, side), rank)
+        m = dkn_fit._split_layer(structure)
+        k = int(np.prod([structure.layer_size(l) for l in range(1, m + 1)]))
+        v, n = structure.n_voxels, 24
+        rng = np.random.default_rng(side)
+        images = rng.standard_normal((n, side, side))
+        y = rng.standard_normal(n)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = record_contractions(mp, structure)
+            fit(images, y, structure, options=FitOptions(max_sweeps=3, tol=0.0))
+        assert sorted(calls) == [1, 2, 3]
+        for t in (2, 3):
+            assert stack_passes(calls[t], v * n) == [("lower", k), ("upper", v // k)], (side, t)
+            reads = sum(size for _, size, _ in calls[t])
+            assert reads <= 2 * v * n + 4 * rank * n * (k + v // k), (side, t, reads)
+
+
+def test_fit_runs_a_sweep_that_opens_collapsed_unsplit(monkeypatch):
+    """A sweep that opens with a collapsed upper product reseeds it with a
+    vector that is not a chain of factors, so it runs unsplit (m = 0): it
+    reads the stack against the upper products of layers 2..L and the lower
+    product of layer 1.  The threshold is raised only while sweep 2 opens,
+    so sweep 3 runs split again, and the objective stays the coefficient's
+    nll at the rtol of ``test_fit_objective_is_the_coefficient_nll``."""
+    structure = DknStructure(
+        image_dims=(8, 12), factor_dims=[(2, 1), (2, 2), (2, 2), (1, 3)], rank=2
+    )
+    assert dkn_fit._split_layer(structure) == 2  # K_2 = 8 of 96 voxels
+    rng = np.random.default_rng(24)
+    images = rng.standard_normal((60, 8, 12))
+    y = rng.standard_normal(60)
+    L, tol, solve, solves = structure.depth, dkn_fit.COLLAPSE_TOL, dkn_fit._solve_layer, [0]
+
+    def threshold_raised_as_sweep_2_opens(family, design, y, ridge, beta0=None):
+        solves[0] += 1
+        if solves[0] == L + 1:  # layer 1 of sweep 2: before any lower product is tested
+            monkeypatch.setattr(dkn_fit, "COLLAPSE_TOL", tol)
+        beta = solve(family, design, y, ridge, beta0)
+        if solves[0] == L:  # sweep 1's upper products after it: norms 0.87 to 1.42, and 1
+            monkeypatch.setattr(dkn_fit, "COLLAPSE_TOL", 0.9)
+        return beta
+
+    monkeypatch.setattr(dkn_fit, "_solve_layer", threshold_raised_as_sweep_2_opens)
+    calls = record_contractions(monkeypatch, structure)
+    options = FitOptions(max_sweeps=3, tol=0.0, trace_factors=True)
+    _, report = fit(images, y, structure, options=options)
+    assert report.collapse_events == [
+        {"sweep": 2, "layer": 2, "term": 1, "side": "left", "source": "svd_pool"}
+    ]
+    assert stack_passes(calls[2], 96 * 60) == [("lower", 2), ("upper", 48)]
+    assert stack_passes(calls[3], 96 * 60) == [("lower", 8), ("upper", 12)]
+    rows = canonical_rows(images)
+    want = [nll_eta(GAUSSIAN, rows @ vec(compose_coeff(f)), y) for f in report.snapshots]
     assert_allclose(report.objective_trace, want, rtol=1e-12)
 
 

@@ -96,6 +96,19 @@ def test_bernoulli_saturates_beyond_clamp():
     assert np.isfinite(big)
 
 
+def test_bernoulli_nll_is_exact_beyond_clamp():
+    """Only the mean clamps eta: the nll of a correctly classified sample
+    stays log(1 + e^-|eta|) >= 0 past the clamp, up to the rounding of
+    psi(eta) - y * eta, instead of falling without bound with |eta|."""
+    for eta in (29.0, 35.0, 100.0, 1e3):
+        for y in (1.0, 0.0):
+            e = eta if y == 1.0 else -eta
+            got = nll_eta(BERNOULLI, np.array([e]), np.array([y]))
+            assert abs(got - np.log1p(np.exp(-eta))) <= 4 * np.finfo(float).eps * eta
+            wrong = nll_eta(BERNOULLI, np.array([-e]), np.array([y]))
+            assert wrong == pytest.approx(eta, rel=1e-12)
+
+
 def test_response_validation():
     with pytest.raises(DimensionError):
         nll_eta(BERNOULLI, np.zeros(3), np.array([0.0, 0.5, 1.0]))
