@@ -163,9 +163,11 @@ def cmd_simulate(args):
 def _resolve_structure(image_dims, args, rank):
     if args.structure == "auto":
         structure, padded_from = auto_structure(image_dims, rank=rank if rank else 1)
-        if getattr(args, "depth", None) is not None:
+        if args.depth is not None:
             structure = merge_to_depth(structure, args.depth)
         return structure, padded_from
+    if args.depth is not None:
+        raise DimensionError("--depth applies only to --structure auto, not to a structure file")
     with open(args.structure) as fh:
         try:
             sd = json.load(fh)

@@ -23,13 +23,13 @@ copies them once into its stack, (n_voxels, n) with the samples fastest
 and each column in layer-digit order (``kron_ops.reshape_T``), where a
 chain is ``np.kron(vec(B_1), ..., vec(B_L))``: every contraction against
 a partial product is then one contiguous matmul.  ``fit`` splits each
-sweep at a layer m fixed by the structure.  Before layer 1 the stack is
-contracted against every term's upper product of layers m+1..L, and
-after layer m's solve against every term's new lower product of layers
-1..m; each half carries its result up the sweep as in
-``conv_chain_eval``, |B_l| times smaller at every layer.  So from sweep
-2 on a sweep makes two passes over the stack, each one matmul for all R
-terms, and its objective comes from the layer-L design.
+sweep at a layer m, 1 when its upper products are not chains of factors
+(spectral seeds, reseeds).  At layer 1 the stack is contracted against
+every term's upper product of layers m+1..L, and after layer m's solve
+against every term's new lower product of layers 1..m; each half carries
+its result up the sweep as in ``conv_chain_eval``, |B_l| times smaller
+at every layer.  So every sweep makes two passes over the stack, each
+one matmul for all R terms, and its objective comes from the layer-L design.
 ``build_design`` (so ``sweep_update``) and ``diagnostics.probe_tau0`` map
 canonical products into that order.  The response-weighted aggregate, prediction and the BIC
 sum over the images in their own memory order and build no stack.
@@ -55,7 +55,7 @@ from .errors import (
     DimensionError,
     RankDeficiencyError,
 )
-from .kron_ops import _contract_lower, _contract_upper, _triple, compose_coeff, tkp
+from .kron_ops import _contract_lower, _contract_upper, _triple, compose_coeff, kron_chain
 from .kron_ops import reshape_R_indices, reshape_T_indices
 from .tensor_core import dist, read_dkt, unvec, vec, write_dkt
 
@@ -423,6 +423,12 @@ class FitOptions:
     trace_truth: object = None
     trace_factors: bool = False
 
+    def __post_init__(self):
+        if self.max_sweeps < 1:
+            raise DimensionError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        if not 0 <= self.tol < math.inf:
+            raise DimensionError(f"tol must be finite and >= 0, got {self.tol}")
+
 
 @dataclass
 class FitReport:
@@ -521,10 +527,10 @@ def _digits(structure, first, last):
 
 
 def _split_layer(structure):
-    """The layer m in 1..L-1 at which ``fit`` splits each sweep's chain: the
-    one minimising K_m + n_voxels / K_m, where K_m = |B_1| ... |B_m| and
-    n_voxels / K_m are the rows each term keeps of the stack contracted
-    against its upper and its lower products (ties go to the lower layer)."""
+    """The layer m in 1..L-1 at which ``fit`` splits a sweep whose upper
+    products are chains of factors: the one minimising K_m + n_voxels / K_m
+    (ties go to the lower layer), where K_m = |B_1| ... |B_m| and n_voxels /
+    K_m are the rows each term keeps of the stack against its two products."""
     k = np.cumprod([structure.layer_size(l) for l in range(1, structure.depth)])
     return 1 + int(np.argmin(k + structure.n_voxels // k))
 
@@ -545,16 +551,17 @@ def _upper_products(factors, top, last):
     return out
 
 
+def _upper_pass(t, ups):
+    """The stack against every term's upper product in one matmul: ``(R, rows/m, n)``."""
+    return np.ascontiguousarray(_contract_upper(t, np.stack(ups)).transpose(1, 0, 2))
+
+
 def _layer_design(lows, ups):
     """The layer-l design, ``(n, R * d_l * p_l * q_l)``, from each term's
     stack already contracted against its lower product (layers 1..l-1) and
     its upper product (layers l+1..L), in layer-digit order.  Column block
-    r multiplies term r's layer-l factor.  ``lows`` is one stack that a
-    single matmul reads for every term, or an iterable of per-term stacks
-    (a generator's are released once contracted, one held at a time)."""
-    if isinstance(lows, np.ndarray):
-        out = _contract_upper(lows, np.stack(ups)).transpose(1, 0, 2)
-        return out.reshape(-1, lows.shape[1]).T
+    r multiplies term r's layer-l factor.  From a generator of ``lows``,
+    one contracted stack is held at a time."""
     return np.concatenate([_contract_upper(w, u) for w, u in zip(lows, ups)]).T
 
 
@@ -589,7 +596,8 @@ def build_design(images, structure, l, left, right):
     vec_x = _vectorize_images(images, structure)
     ups = [u[_digits(structure, l + 1, structure.depth)] for u in left]
     if l == 1:  # scalar lower products: scale the upper ones, not the stack
-        return _layer_design(vec_x, [w[0] * u for w, u in zip(right, ups)])
+        out = _upper_pass(vec_x, [w[0] * u for w, u in zip(right, ups)])
+        return out.reshape(-1, vec_x.shape[1]).T
     lo = _digits(structure, 1, l - 1)
     return _layer_design((_contract_lower(vec_x, w[lo]) for w in right), ups)
 
@@ -599,19 +607,14 @@ def partial_products(model, l, side):
 
     Convention boundaries: left at l = L+1 and right at l = 0 are scalar ones.
     """
-    structure = model.structure
-    L = structure.depth
+    L = model.structure.depth
     if side not in ("left", "right"):
         raise DimensionError(f"side must be 'left' or 'right', got {side!r}")
-    lo, hi, layers = (1, L + 1, range(L, l - 1, -1)) if side == "left" else (0, L, range(1, l + 1))
+    lo, hi = (1, L + 1) if side == "left" else (0, L)
     if not lo <= l <= hi:
         raise DimensionError(f"{side} products need {lo} <= l <= {hi}, got {l}")
-    prods = [np.ones(1) for _ in range(structure.rank)]
-    for k in layers:
-        ext = structure.upper_extents(k + 1) if side == "left" else structure.lower_extents(k - 1)
-        pairs = [(unvec(p, ext), chain[k - 1]) for p, chain in zip(prods, model.factors)]
-        prods = [vec(tkp(p, f) if side == "left" else tkp(f, p)) for p, f in pairs]
-    return prods
+    chains = [c[l - 1 :] if side == "left" else c[:l] for c in model.factors]
+    return [vec(kron_chain(c)) if c else np.ones(1) for c in chains]
 
 
 def _split_beta(beta, structure, l):
@@ -733,12 +736,11 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
             raise DimensionError(f"trace_truth extents {truth.shape} do not match image extents")
         truth_vec = vec(t3)
         report.dist_trace = []
-    if options.trace_factors:
-        report.snapshots = []
 
     left, pools = _spectral_seeds(_weighted_sum(images, y, structure, padded_from), structure)
     if options.trace_factors:
         report.init_left_products = left  # canonical; the sweep works on a mapped copy
+        report.snapshots = []
 
     factors = [[None] * L for _ in range(R)]
     reseed_count = 0
@@ -775,23 +777,17 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
             (l, r) for l in range(1, L + 1) for r in range(R)
             if np.linalg.norm(up[l + 1][r]) < COLLAPSE_TOL
         }
-        # The sweep reads the stack twice, split at layer m.  Before layer 1
-        # it is contracted against every term's upper product of layers
-        # m+1..L, and layers 1..m carry their designs up from each term's
-        # (K_m, n) result against its upper products of layers l+1..m
+        # The sweep reads the stack twice, split at layer m.  At layer 1,
+        # after its reseeds, it is contracted against every term's upper
+        # product of layers m+1..L (``base``), and layers 1..m carry their
+        # designs up from that against the upper products of layers l+1..m
         # (``mid``).  After layer m's solve it is contracted against every
         # term's new lower product of layers 1..m, and layers m+1..L carry
         # theirs up from that.  Spectral seeds and reseeded upper products
-        # are not chains of factors, so such a sweep has m = 0: one chain
-        # from the stack itself, shared by every term at layer 1.
-        m = 0 if t == 1 or collapsed else split
-        if m:  # base[r]: the stack against term r's upper product of m+1..L
-            hi = _contract_upper(vec_x, np.stack(up[m + 1]))  # (K_m, R, n)
-            base = list(np.ascontiguousarray(hi.transpose(1, 0, 2)))
-            mid = _upper_products(factors, [np.ones(1)] * R, m)
-        # low: base[r] up to layer m, the stack after it, contracted against
-        # term r's lower product, whose norm is lo_norm; at layer 1 the base.
-        low, lo_norm = base if m else vec_x, [1.0] * R
+        # are not chains of factors, so such a sweep splits at m = 1.
+        m = 1 if t == 1 or collapsed else split
+        mid = _upper_products(factors, [np.ones(1)] * R, m)
+        lo_norm = [1.0] * R  # norms of the lower products in ``low``
         for l in range(1, L + 1):
             for r in range(R):
                 if (l, r) in collapsed:
@@ -799,6 +795,8 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
                 if l > 1 and lo_norm[r] < COLLAPSE_TOL:  # layer 1's lower product is 1
                     lo = _reseed("right", l, r, t)
                     low[r], lo_norm[r] = _contract_lower(base[r] if l <= m else vec_x, lo), 1.0
+            if l == 1:  # the stack's first pass: one matmul for every term
+                low = base = list(_upper_pass(vec_x, up[m + 1]))
             design = _layer_design(low, mid[l + 1] if l <= m else up[l + 1])
             beta0 = _stack_layer(factors, l) if t > 1 else None  # last sweep's layer l
             beta = _solve_layer(family, design, y, options.ridge, beta0)
@@ -806,7 +804,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
             for r, f in enumerate(layer):
                 factors[r][l - 1] = f
                 lo_norm[r] *= float(np.linalg.norm(f))
-            if l == max(m, 1):  # the stack's second pass: one matmul for every term
+            if l == m:  # the stack's second pass: one matmul for every term
                 lows = np.stack([_lower_product(chain, l) for chain in factors])
                 low = list(_contract_lower(vec_x, lows))
             elif l < L:  # carry the chain up one layer
@@ -856,7 +854,6 @@ def normalize(model):
     and sign folded into layer 1; terms are then ordered by non-increasing
     scale.  The composed coefficient is unchanged.
     """
-    structure = model.structure
     new_factors = []
     lams = []
     for r, chain in enumerate(model.factors):

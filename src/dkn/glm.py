@@ -199,8 +199,8 @@ def fit_glm(family, design, y, ridge=None, return_info=False, beta0=None):
             f"response length {y.shape} does not match {design.shape[0]} design rows"
         )
     lam = default_ridge(design) if ridge is None else float(ridge)
-    if lam < 0:
-        raise DimensionError(f"ridge must be nonnegative, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise DimensionError(f"ridge must be finite and nonnegative, got {lam}")
 
     m = design.shape[1]
     if beta0 is not None:

@@ -208,6 +208,17 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     assert main(["fit", "--images", imgdir, "--y", good_y, "--out", str(tmp_path / "m"),
                  "--rank", "scan", "--ranks", " , "]) == 2
 
+    good_struct = tmp_path / "good.json"
+    good_struct.write_text(json.dumps({"image_dims": [8, 8], "factor_dims": [[2, 2], [4, 4]]}))
+    capsys.readouterr()
+    for args, cause in [(["--max-sweeps", "0"], "max_sweeps"), (["--tol", "nan"], "tol"),
+                        (["--tol=-1"], "tol"), (["--ridge", "nan"], "ridge"),
+                        (["--ridge", "inf"], "ridge"),
+                        (["--structure", str(good_struct), "--depth", "5"], "--depth")]:
+        assert main(["fit", "--images", imgdir, "--y", good_y,
+                     "--out", str(tmp_path / "m")] + args) == 2, args
+        assert cause in capsys.readouterr().err, args
+
     cfg = tmp_path / "config.json"
     write_config(cfg, bogus_knob=1)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2

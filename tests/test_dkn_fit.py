@@ -493,17 +493,19 @@ def stack_passes(calls, n_floats):
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_fit_reads_the_stack_twice_per_sweep(rank):
-    """From sweep 2 on, a sweep reads the stack twice, whatever the rank and
-    depth: once against every term's upper product of layers m+1..L and
-    once against its lower product of layers 1..m.  All other reads are of
-    each term's (K_m, n) and (n_voxels / K_m, n) arrays and of the smaller
-    ones carried up from them; their rows at least halve per layer, so each
-    chain reads less than twice its first array, twice.  That bounds a
-    sweep's reads by 2 n_voxels n + 4 R n (K_m + n_voxels / K_m) floats."""
+    """Every sweep reads the stack twice, whatever the rank and depth: once
+    against every term's upper product of layers m+1..L and once against
+    its lower product of layers 1..m.  Sweep 1 splits at m = 1, because its
+    spectral upper products are not chains of factors; later sweeps at
+    ``_split_layer``.  All other reads are of each term's (K_m, n) and
+    (n_voxels / K_m, n) arrays and of the smaller ones carried up from
+    them; their rows at least halve per layer, so each chain reads less
+    than twice its first array, twice.  That bounds a sweep's reads by
+    2 n_voxels n + 4 R n (K_m + n_voxels / K_m) floats."""
     for side in (4, 8, 16, 32):  # depths 2..5 of 2x2 factors
         structure, _ = auto_structure((side, side), rank)
         m = dkn_fit._split_layer(structure)
-        k = int(np.prod([structure.layer_size(l) for l in range(1, m + 1)]))
+        k_split = int(np.prod([structure.layer_size(l) for l in range(1, m + 1)]))
         v, n = structure.n_voxels, 24
         rng = np.random.default_rng(side)
         images = rng.standard_normal((n, side, side))
@@ -512,16 +514,17 @@ def test_fit_reads_the_stack_twice_per_sweep(rank):
             calls = record_contractions(mp, structure)
             fit(images, y, structure, options=FitOptions(max_sweeps=3, tol=0.0))
         assert sorted(calls) == [1, 2, 3]
-        for t in (2, 3):
+        for t in (1, 2, 3):
+            k = structure.layer_size(1) if t == 1 else k_split
             assert stack_passes(calls[t], v * n) == [("lower", k), ("upper", v // k)], (side, t)
             reads = sum(size for _, size, _ in calls[t])
             assert reads <= 2 * v * n + 4 * rank * n * (k + v // k), (side, t, reads)
 
 
-def test_fit_runs_a_sweep_that_opens_collapsed_unsplit(monkeypatch):
+def test_fit_splits_a_sweep_that_opens_collapsed_at_layer_1(monkeypatch):
     """A sweep that opens with a collapsed upper product reseeds it with a
-    vector that is not a chain of factors, so it runs unsplit (m = 0): it
-    reads the stack against the upper products of layers 2..L and the lower
+    vector that is not a chain of factors, so it splits at m = 1: it reads
+    the stack against the upper products of layers 2..L and the lower
     product of layer 1.  The threshold is raised only while sweep 2 opens,
     so sweep 3 runs split again, and the objective stays the coefficient's
     nll at the rtol of ``test_fit_objective_is_the_coefficient_nll``."""
@@ -557,6 +560,44 @@ def test_fit_runs_a_sweep_that_opens_collapsed_unsplit(monkeypatch):
     assert_allclose(report.objective_trace, want, rtol=1e-12)
 
 
+def test_fit_reseeds_layer_1_upper_products_before_the_first_stack_pass(monkeypatch):
+    """A collapsed upper product of layers 2..L is reseeded at layer 1,
+    before the sweep's first stack pass reads it, so layer 1's design is
+    built from the reseeded product.  Term 2's, of norm 0.59 after sweep 1,
+    is the only upper product under the threshold raised while sweep 2
+    opens (the next smallest is 0.95), and the aggregate has no spare
+    direction at that boundary, so the reseed is a random unit vector."""
+    structure = DknStructure(
+        image_dims=(8, 12), factor_dims=[(2, 1), (2, 2), (2, 2), (1, 3)], rank=2
+    )
+    rng = np.random.default_rng(11)
+    images = rng.standard_normal((60, 8, 12))
+    y = rng.standard_normal(60)
+    L, tol, solve, designs = structure.depth, dkn_fit.COLLAPSE_TOL, dkn_fit._solve_layer, []
+
+    def threshold_raised_as_sweep_2_opens(family, design, y, ridge, beta0=None):
+        designs.append(np.array(design))
+        if len(designs) == L + 1:
+            monkeypatch.setattr(dkn_fit, "COLLAPSE_TOL", tol)
+        beta = solve(family, design, y, ridge, beta0)
+        if len(designs) == L:
+            monkeypatch.setattr(dkn_fit, "COLLAPSE_TOL", 0.75)
+        return beta
+
+    monkeypatch.setattr(dkn_fit, "_solve_layer", threshold_raised_as_sweep_2_opens)
+    options = FitOptions(max_sweeps=2, tol=0.0, trace_factors=True, seed=3)
+    _, report = fit(images, y, structure, options=options)
+    assert report.collapse_events == [
+        {"sweep": 2, "layer": 1, "term": 2, "side": "left", "source": "random"}
+    ]
+    prev = DknModel(structure=structure, factors=report.snapshots[0])
+    g = rng_mod.stream(options.seed, rng_mod.PURPOSE_RESEED, 0)
+    reseed = g.standard_normal(structure.n_voxels // structure.layer_size(1))
+    left = [partial_products(prev, 2, "left")[0], reseed / np.linalg.norm(reseed)]
+    want = build_design(images, structure, 1, left, [np.ones(1)] * 2)
+    assert_allclose(designs[L], want, rtol=1e-12, atol=1e-12 * float(np.abs(want).max()))
+
+
 def test_build_design_validation():
     rng = np.random.default_rng(3)
     images = rng.standard_normal((4, 8, 8))
@@ -569,32 +610,43 @@ def test_build_design_validation():
         build_design(images, S883, 1, ok, [])
 
 
+def composed_partial_products(model, l, side):
+    """Oracle for ``partial_products``: each term's product composed one
+    layer at a time with ``tkp``, layer k onto the product of layers
+    k+1..L ("left", from k = L down to l) or under that of layers 1..k-1
+    ("right", from k = 1 up to l)."""
+    structure = model.structure
+    if side == "left":
+        layers = range(structure.depth, l - 1, -1)
+    else:
+        layers = range(1, l + 1)
+    prods = [np.ones(1) for _ in range(structure.rank)]
+    for k in layers:
+        ext = structure.upper_extents(k + 1) if side == "left" else structure.lower_extents(k - 1)
+        pairs = [(unvec(p, ext), chain[k - 1]) for p, chain in zip(prods, model.factors)]
+        prods = [vec(tkp(p, f) if side == "left" else tkp(f, p)) for p, f in pairs]
+    return prods
+
+
 def test_partial_products_match_direct_composition():
+    """Right products compose in the oracle's order, so they are equal; left
+    products differ from it only in the association of each entry's product
+    of factor entries."""
     rng = np.random.default_rng(4)
-    structure = DknStructure(
-        image_dims=(8, 8), factor_dims=[(2, 2), (2, 2), (2, 2)], rank=2
-    )
-    chains = random_chains(rng, structure)
-    model = DknModel(structure=structure, factors=chains)
-    for l in range(1, 5):
-        got = partial_products(model, l, "left")
-        for r in range(2):
-            if l == 4:
-                assert np.array_equal(got[r], [1.0])
-            else:
-                # equality up to the float association order of triple products
-                assert_allclose(
-                    got[r], vec(kron_chain(chains[r][l - 1 :])), rtol=1e-13, atol=1e-15
-                )
-    for l in range(0, 4):
-        got = partial_products(model, l, "right")
-        for r in range(2):
-            if l == 0:
-                assert np.array_equal(got[r], [1.0])
-            else:
-                assert_allclose(
-                    got[r], vec(kron_chain(chains[r][:l])), rtol=1e-13, atol=1e-15
-                )
+    for dims in [(12,), (8, 8), (6, 10), (4, 8, 6), (16, 16)]:
+        for rank in (1, 2, 3):
+            structure, _ = auto_structure(dims, rank)
+            L = structure.depth
+            model = DknModel(structure=structure, factors=random_chains(rng, structure))
+            for l in range(1, L + 2):  # the boundaries, l = L+1 and 0, are ones
+                got = partial_products(model, l, "left")
+                for g, w in zip(got, composed_partial_products(model, l, "left")):
+                    assert_allclose(g, w, rtol=1e-15, atol=0)
+            for l in range(0, L + 1):
+                got = partial_products(model, l, "right")
+                for g, w in zip(got, composed_partial_products(model, l, "right")):
+                    assert np.array_equal(g, w), (dims, rank, l)
+    model = DknModel(structure=S883, factors=random_chains(rng, S883))
     with pytest.raises(DimensionError):
         partial_products(model, 5, "left")
     with pytest.raises(DimensionError):
@@ -793,6 +845,10 @@ def test_fit_validation():
             S883,
             options=FitOptions(trace_truth=np.ones((4, 4))),
         )
+    for field, bad in [("max_sweeps", 0), ("max_sweeps", -1), ("tol", np.nan),
+                       ("tol", np.inf), ("tol", -1e-8)]:
+        with pytest.raises(DimensionError, match=field):
+            FitOptions(**{field: bad})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

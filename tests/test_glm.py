@@ -168,8 +168,9 @@ def test_singular_design_raises_without_ridge():
         fit_glm(GAUSSIAN, design, y, ridge=0.0)
     beta = fit_glm(GAUSSIAN, design, y)  # default ridge regularizes it
     assert np.all(np.isfinite(beta))
-    with pytest.raises(DimensionError):
-        fit_glm(GAUSSIAN, design, y, ridge=-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(DimensionError, match="ridge"):
+            fit_glm(GAUSSIAN, design, y, ridge=bad)
 
 
 def test_bernoulli_fit_single_feature_grid_oracle():
