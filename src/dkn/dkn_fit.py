@@ -15,7 +15,12 @@ top singular vectors of the response-weighted image aggregate.  From sweep
 2 on, each layer solve is warm-started from that layer's factors of the
 previous sweep, stacked: against the layer design they give the current
 model's linear predictor.  ``sweep_update`` starts from the model's
-current factors in the same way.
+current factors in the same way.  ``scan_rank`` fits its smallest rank so
+and starts each larger rank from the factors fitted for the rank before
+it: each new term gets a zero layer-1 factor and, for layers 2..L, the
+chain nearest to the next left singular vector of the previous fit's score
+aggregate sum_i (y_i - mu_i) vec(X_i) reshaped at layer 2, factored by
+successive rank-1 SVDs.  Such a fit warm-starts sweep 1's solves as well.
 
 Images enter as an (n, *image_dims) stack (a list of tensors or an
 (n, prod(dims)) matrix of canonical vecs is also accepted).  The solver
@@ -24,11 +29,11 @@ and each column in layer-digit order (``kron_ops.reshape_T``), where a
 chain is ``np.kron(vec(B_1), ..., vec(B_L))``: every contraction against
 a partial product is then one contiguous matmul.  ``fit`` splits each
 sweep at a layer m, 1 when its upper products are not chains of factors
-(spectral seeds, reseeds).  At layer 1 the stack is contracted against
-every term's upper product of layers m+1..L, and after layer m's solve
-against every term's new lower product of layers 1..m; each half carries
-its result up the sweep as in ``conv_chain_eval``, |B_l| times smaller
-at every layer.  So every sweep makes two passes over the stack, each
+(a cold fit's spectral seeds, reseeds).  At layer 1 the stack is
+contracted against every term's upper product of layers m+1..L, and after
+layer m's solve against every term's new lower product of layers 1..m;
+each half carries its result up the sweep as in ``conv_chain_eval``,
+|B_l| times smaller at every layer.  So every sweep makes two passes over the stack, each
 one matmul for all R terms, and its objective comes from the layer-L design.
 ``build_design`` (so ``sweep_update``) and ``diagnostics.probe_tau0`` map
 canonical products into that order.  The response-weighted aggregate, prediction and the BIC
@@ -428,6 +433,8 @@ class FitOptions:
             raise DimensionError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if not 0 <= self.tol < math.inf:
             raise DimensionError(f"tol must be finite and >= 0, got {self.tol}")
+        if self.ridge is not None and not 0 <= self.ridge < math.inf:
+            raise DimensionError(f"ridge must be finite and >= 0, got {self.ridge}")
 
 
 @dataclass
@@ -535,10 +542,15 @@ def _split_layer(structure):
     return 1 + int(np.argmin(k + structure.n_voxels // k))
 
 
+def _kron(a, b):
+    """``np.kron`` of two 1-D vectors, the same bytes without its overhead."""
+    return np.multiply.outer(a, b).ravel()
+
+
 def _lower_product(chain, l):
     """A term's lower product of layers 1..l in layer-digit order,
     ``np.kron(vec(B_1), ..., vec(B_l))``."""
-    return reduce(np.kron, [vec(f) for f in chain[:l]])
+    return reduce(_kron, [vec(f) for f in chain[:l]])
 
 
 def _upper_products(factors, top, last):
@@ -547,8 +559,42 @@ def _upper_products(factors, top, last):
     the entry at last+1."""
     out = {last + 1: top}
     for l in range(last, 1, -1):
-        out[l] = [np.kron(vec(chain[l - 1]), u) for chain, u in zip(factors, out[l + 1])]
+        out[l] = [_kron(vec(chain[l - 1]), u) for chain, u in zip(factors, out[l + 1])]
     return out
+
+
+def _chain_factors(v, factor_dims):
+    """Factors ``[B_1, ..., B_k]`` of the given extents whose chain
+    ``np.kron(vec(B_1), ..., vec(B_k))`` approximates ``v``, a vec in
+    layer-digit order, by successive rank-1 SVDs: B_1 is the top left
+    singular vector of v as a (|B_1|, rest) matrix, and the rest, scaled by
+    its singular value, is factored on.  Each step is the nearest Kronecker
+    product (Van Loan & Pitsianis, 1993), so an exact chain is recovered
+    up to the scale and sign of its factors."""
+    out = []
+    for fd in factor_dims[:-1]:
+        u, s, vt = np.linalg.svd(v.reshape(int(np.prod(fd)), -1), full_matrices=False)
+        out.append(unvec(u[:, 0], fd))
+        v = s[0] * vt[0]
+    return out + [unvec(v, factor_dims[-1])]
+
+
+def _rank_start(model, images, response, structure):
+    """Starting factors for ``structure.rank`` terms from a fitted ``model``
+    of lower rank: its own chains, then one chain per added term.  Added
+    term k gets a zero layer-1 factor, so the start's linear predictor is
+    the model's, and layers 2..L from the chain nearest to the k-th spectral
+    seed at layer 2 (:func:`_spectral_seeds`) of the score aggregate
+    sum_i (y_i - mu_i) vec(X_i), with mu the model's mean.  A rank that the
+    seeds of a cold fit could not support is refused the same way.
+    """
+    score = glm.get_family(model.family).validate_response(response) - predict(model, images)
+    left, _ = _spectral_seeds(_weighted_sum(images, score, structure, model.padded_from), structure)
+    fd, upper = structure.factor_dims, _digits(structure, 2, structure.depth)
+    added = left[2][: structure.rank - model.structure.rank]
+    return [list(chain) for chain in model.factors] + [
+        [np.zeros(fd[0])] + _chain_factors(v[upper], fd[1:]) for v in added
+    ]
 
 
 def _upper_pass(t, ups):
@@ -704,6 +750,17 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     term's factors of those layers, so every recorded objective is the nll
     of the factors the fit holds at the end of its sweep.
     """
+    return _fit(images, response, structure, family, options, padded_from)
+
+
+def _fit(images, response, structure, family, options, padded_from, start=None):
+    """:func:`fit`, started from the factor chains ``start`` (one per term)
+    instead of spectral seeds when given.  Every upper product is then a
+    chain, so sweep 1 splits at ``_split_layer`` and warm-starts its layer
+    solves from the start's factors like later sweeps; a collapsed upper
+    product is reseeded by a random unit vector, as no spectral pool is
+    formed, and ``report.init_left_products`` stays None.  Without
+    ``start`` this is :func:`fit`."""
     t0 = time.perf_counter()
     options = options or FitOptions()
     family = glm.get_family(family)
@@ -737,12 +794,19 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
         truth_vec = vec(t3)
         report.dist_trace = []
 
-    left, pools = _spectral_seeds(_weighted_sum(images, y, structure, padded_from), structure)
     if options.trace_factors:
-        report.init_left_products = left  # canonical; the sweep works on a mapped copy
         report.snapshots = []
-
-    factors = [[None] * L for _ in range(R)]
+    if start is None:
+        left, pools = _spectral_seeds(_weighted_sum(images, y, structure, padded_from), structure)
+        if options.trace_factors:
+            report.init_left_products = left  # canonical; the sweep works on a mapped copy
+        factors = [[None] * L for _ in range(R)]
+        # up[l][r]: term r's upper product (layers l..L) in layer-digit order.
+        up = {l: [v[_digits(structure, l, L)] for v in vs] for l, vs in left.items()}
+    else:
+        pools = {}
+        factors = [list(chain) for chain in start]
+        up = _upper_products(factors, [np.ones(1)] * R, L)
     reseed_count = 0
 
     def _reseed(side, l, r, t):
@@ -768,9 +832,8 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
             v /= np.linalg.norm(v)
         return v[_digits(structure, l + 1, L)]
 
-    # up[l][r]: term r's upper product (layers l..L) in layer-digit order.
-    up = {l: [v[_digits(structure, l, L)] for v in vs] for l, vs in left.items()}
     split = _split_layer(structure)
+    spectral = start is None  # whether this sweep's upper products are spectral seeds
     prev_obj = None
     for t in range(1, options.max_sweeps + 1):
         collapsed = {
@@ -785,7 +848,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
         # term's new lower product of layers 1..m, and layers m+1..L carry
         # theirs up from that.  Spectral seeds and reseeded upper products
         # are not chains of factors, so such a sweep splits at m = 1.
-        m = 1 if t == 1 or collapsed else split
+        m = 1 if spectral or collapsed else split
         mid = _upper_products(factors, [np.ones(1)] * R, m)
         lo_norm = [1.0] * R  # norms of the lower products in ``low``
         for l in range(1, L + 1):
@@ -798,7 +861,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
             if l == 1:  # the stack's first pass: one matmul for every term
                 low = base = list(_upper_pass(vec_x, up[m + 1]))
             design = _layer_design(low, mid[l + 1] if l <= m else up[l + 1])
-            beta0 = _stack_layer(factors, l) if t > 1 else None  # last sweep's layer l
+            beta0 = None if spectral else _stack_layer(factors, l)  # the held layer l
             beta = _solve_layer(family, design, y, options.ridge, beta0)
             layer = _split_beta(beta, structure, l)
             for r, f in enumerate(layer):
@@ -811,6 +874,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
                 low = list(map(_contract_lower, low, [vec(f) for f in layer]))
         # Downward pass: recompose the upper products from this sweep's factors.
         up = _upper_products(factors, up[L + 1], L)
+        spectral = False
 
         # The layer-L design is the stack contracted against every lower
         # product, so design @ beta is the coefficient's linear predictor.
@@ -917,21 +981,26 @@ class ScanResult:
 
 
 def scan_rank(images, response, structure, ranks, family="gaussian", options=None, padded_from=None):
-    """Fit each candidate rank and keep the BIC minimizer (ties: smaller rank)."""
+    """Fit each candidate rank and keep the BIC minimizer (ties: smaller rank).
+
+    The smallest rank is fit cold, as :func:`fit` does.  Each larger rank
+    starts from the factors fitted for the rank before it, plus one new
+    term per added rank seeded by :func:`_rank_start`: a zero layer-1
+    factor under the chain nearest to the next direction of the previous
+    fit's score aggregate.  So its first solve can keep the previous fit's
+    linear predictor, and its final objective is no higher than that
+    fit's, up to the ridge penalty of its solves.  A cold fit of any rank
+    is one :func:`fit` call.
+    """
     ranks = sorted({int(r) for r in ranks})
     if not ranks:
         raise DimensionError("need at least one candidate rank")
     reports, bics = {}, {}
-    best = None
+    best = model = None
     for r in ranks:
-        model, rep = fit(
-            images,
-            response,
-            replace(structure, rank=r),
-            family=family,
-            options=options,
-            padded_from=padded_from,
-        )
+        s = replace(structure, rank=r)
+        start = None if model is None else _rank_start(model, images, response, s)
+        model, rep = _fit(images, response, s, family, options, padded_from, start)
         reports[r] = rep
         bics[r] = rep.bic
         if best is None or rep.bic < bics[best[0]]:

@@ -266,6 +266,10 @@ class ExperimentConfig:
     tol: float = 1e-8
     run_ridge: bool = True
 
+    def __post_init__(self):
+        # FitOptions' own checks, so a bad value is refused before any data exist.
+        FitOptions(max_sweeps=self.max_sweeps, tol=self.tol)
+
     @property
     def n_test(self):
         return self.n_train // 4

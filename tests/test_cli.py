@@ -226,6 +226,16 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     assert "bogus_knob" in err
 
 
+@pytest.mark.parametrize("knob", [{"max_sweeps": 0}, {"tol": float("nan")}])
+def test_simulate_refuses_bad_fit_settings_before_writing(tmp_path, capsys, knob):
+    cfg = tmp_path / "config.json"
+    write_config(cfg, **knob)
+    out = tmp_path / "d"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert next(iter(knob)) in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_solver_failure_exits_3(tmp_path):
     imgdir, _, _, _, _ = write_rank1_dataset(tmp_path, n=20, seed=5)
     zeros = tmp_path / "zeros.csv"

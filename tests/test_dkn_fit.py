@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from dkn.dkn_fit import (
 from dkn.cli import _load_images_dir
 from dkn.dkn_fit import _vectorize_images
 from dkn.errors import DataFormatError, DegenerateDataError, DimensionError
-from dkn.glm import BERNOULLI, GAUSSIAN, IRLS_GRAD_TOL, nll_eta
+from dkn.glm import BERNOULLI, GAUSSIAN, IRLS_GRAD_TOL, default_ridge, nll_eta
 from dkn.kron_ops import compose_coeff, kron_chain, reshape_R_indices, reshape_T, tkp
 from dkn.tensor_core import dist, inner, unvec, vec, write_dkt
 
@@ -510,15 +511,19 @@ def test_fit_reads_the_stack_twice_per_sweep(rank):
         rng = np.random.default_rng(side)
         images = rng.standard_normal((n, side, side))
         y = rng.standard_normal(n)
-        with pytest.MonkeyPatch.context() as mp:
-            calls = record_contractions(mp, structure)
-            fit(images, y, structure, options=FitOptions(max_sweeps=3, tol=0.0))
-        assert sorted(calls) == [1, 2, 3]
-        for t in (1, 2, 3):
-            k = structure.layer_size(1) if t == 1 else k_split
-            assert stack_passes(calls[t], v * n) == [("lower", k), ("upper", v // k)], (side, t)
-            reads = sum(size for _, size, _ in calls[t])
-            assert reads <= 2 * v * n + 4 * rank * n * (k + v // k), (side, t, reads)
+        options = FitOptions(max_sweeps=3, tol=0.0)
+        # A fit started from chains of factors splits sweep 1 at m as well.
+        for start in (None, random_chains(rng, structure)):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = record_contractions(mp, structure)
+                dkn_fit._fit(images, y, structure, "gaussian", options, None, start)
+            assert sorted(calls) == [1, 2, 3]
+            for t in (1, 2, 3):
+                k = structure.layer_size(1) if t == 1 and start is None else k_split
+                assert stack_passes(calls[t], v * n) == [("lower", k), ("upper", v // k)], (
+                    side, t, start is None)
+                reads = sum(size for _, size, _ in calls[t])
+                assert reads <= 2 * v * n + 4 * rank * n * (k + v // k), (side, t, reads)
 
 
 def test_fit_splits_a_sweep_that_opens_collapsed_at_layer_1(monkeypatch):
@@ -846,7 +851,8 @@ def test_fit_validation():
             options=FitOptions(trace_truth=np.ones((4, 4))),
         )
     for field, bad in [("max_sweeps", 0), ("max_sweeps", -1), ("tol", np.nan),
-                       ("tol", np.inf), ("tol", -1e-8)]:
+                       ("tol", np.inf), ("tol", -1e-8), ("ridge", np.nan),
+                       ("ridge", -1.0), ("ridge", np.inf)]:
         with pytest.raises(DimensionError, match=field):
             FitOptions(**{field: bad})
 
@@ -995,6 +1001,112 @@ def test_scan_rank_prefers_true_rank_one():
     assert "wall_time_s" not in d["reports"]["1"]
     with pytest.raises(DimensionError):
         scan_rank(images, y, S883, [])
+
+
+def scan_problem(seed, n, family):
+    """Images and a response of a rank-2 coefficient at ``S883``; the
+    Bernoulli one is scaled down so that the classes overlap."""
+    rng = np.random.default_rng(seed)
+    images = rng.standard_normal((n, 8, 8))
+    coeff = compose_coeff(random_chains(rng, replace(S883, rank=2)))
+    eta = canonical_rows(images) @ vec(coeff)
+    if family == "gaussian":
+        return images, eta + 0.5 * rng.standard_normal(n)
+    return images, (rng.random(n) < 1.0 / (1.0 + np.exp(-0.5 * eta))).astype(float)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+def test_scan_objective_falls_with_rank_up_to_the_ridge_term(family, monkeypatch):
+    """Each rank after the first starts from the previous rank's factors,
+    with its new terms' layer-1 factors zero, and every one of its layer
+    solves starts from the layer's factors it holds (``beta0``).  A solve
+    ends no higher in nll + ridge/2 |beta|^2 than at ``beta0``, so its nll
+    rises by at most ridge/2 |beta0|^2: summed over the rank's solves, the
+    most its final objective may exceed the previous rank's."""
+    images, y = scan_problem(41, 300, family)
+    slack, cold, solve = {}, {1: 0, 2: 0, 3: 0}, dkn_fit._solve_layer
+
+    def spy(family, design, y, ridge, beta0=None):
+        rank = design.shape[1] // 4  # every factor of S883 has 4 entries
+        lam = default_ridge(design) if ridge is None else ridge
+        if beta0 is None:
+            cold[rank] += 1
+        else:
+            slack[rank] = slack.get(rank, 0.0) + 0.5 * lam * float(beta0 @ beta0)
+        return solve(family, design, y, ridge, beta0)
+
+    monkeypatch.setattr(dkn_fit, "_solve_layer", spy)
+    scan = scan_rank(images, y, S883, [1, 2, 3], family=family)
+    assert cold == {1: S883.depth, 2: 0, 3: 0}  # only the cold fit's sweep 1 starts at zero
+    final = {r: rep.objective_trace[-1] for r, rep in scan.reports.items()}
+    for prev, r in [(1, 2), (2, 3)]:
+        assert not scan.reports[r].collapse_events
+        assert final[r] <= final[prev] + slack[r] + 1e-12 * abs(final[prev]), (prev, r)
+
+
+def test_scan_first_rank_is_a_cold_fit_bit_for_bit():
+    """The smallest rank, whatever order the ranks come in, is a plain fit."""
+    images, y = scan_problem(42, 300, "bernoulli")
+    options = FitOptions(trace_factors=True)
+    scan = scan_rank(images, y, S883, [3, 2], family="bernoulli", options=options)
+    _, cold = fit(images, y, replace(S883, rank=2), family="bernoulli", options=options)
+    got = scan.reports[2]
+    assert got.objective_trace == cold.objective_trace
+    assert (got.sweeps, got.bic, scan.bic_table[2]) == (cold.sweeps, cold.bic, cold.bic)
+    for a, b in zip(got.snapshots, cold.snapshots):
+        assert all(np.array_equal(f, g) for s, t in zip(a, b) for f, g in zip(s, t))
+    assert len(got.snapshots) == cold.sweeps
+
+
+def test_rank_start_seeds_one_term_per_added_rank(monkeypatch):
+    """Ranks [1, 3] add two terms to the rank-1 fit: term k + 1 gets a zero
+    layer-1 factor and the chain nearest to the k-th left singular vector
+    of the score aggregate, computed here from canonical rows."""
+    images, y = scan_problem(43, 120, "gaussian")
+    starts, run = {}, dkn_fit._fit
+
+    def spy(images, response, structure, family, options, padded_from, start=None):
+        starts[structure.rank] = start
+        return run(images, response, structure, family, options, padded_from, start)
+
+    monkeypatch.setattr(dkn_fit, "_fit", spy)
+    scan = scan_rank(images, y, S883, [1, 3])
+    assert sorted(scan.reports) == [1, 3] and starts[1] is None
+    model1, _ = fit(images, y, S883)
+    start = starts[3]
+    assert len(start) == 3
+    assert all(np.array_equal(f, g) for f, g in zip(start[0], model1.factors[0]))
+    agg = canonical_rows(images).T @ (y - predict(model1, images))
+    u = np.linalg.svd(agg[reshape_R_indices(S883.dims3, S883.upper_extents(2))])[0]
+    for k, chain in enumerate(start[1:]):
+        assert not np.any(chain[0]), k
+        upper = vec(kron_chain(chain[1:]))
+        want = dkn_fit._chain_factors(u[dkn_fit._digits(S883, 2, 3), k], S883.factor_dims[1:])
+        want = vec(kron_chain(want))
+        assert_allclose(upper, np.sign(upper @ want) * want, atol=1e-12)
+    with pytest.raises(DegenerateDataError, match="rank 5 requested"):  # as a cold fit is
+        scan_rank(images, y, S883, [1, 5])
+
+
+def test_chain_factors_recompose_an_exact_chain():
+    """Successive rank-1 SVDs of an exact chain in layer-digit order give
+    factors that recompose it to rounding, unit layers included."""
+    rng = np.random.default_rng(44)
+    for fds in [[(2, 1, 1), (3, 1, 1)], [(2, 2, 1), (2, 2, 1), (2, 2, 1)],
+                [(2, 2, 2), (1, 1, 1), (3, 2, 1), (2, 1, 2)]]:
+        chain = [rng.standard_normal(fd) for fd in fds]
+        v = reduce(np.kron, [vec(f) for f in chain])
+        got = dkn_fit._chain_factors(v, fds)
+        assert [f.shape for f in got] == fds
+        assert_allclose(reduce(np.kron, [vec(f) for f in got]), v, rtol=0,
+                        atol=1e-12 * np.linalg.norm(v))
+
+
+def test_kron_is_np_kron_on_vectors():
+    rng = np.random.default_rng(45)
+    for m, k in [(1, 1), (1, 5), (4, 1), (4, 16), (8, 27)]:
+        a, b = rng.standard_normal(m), rng.standard_normal(k)
+        assert np.array_equal(dkn_fit._kron(a, b), np.kron(a, b))
 
 
 def test_save_load_round_trip(tmp_path):
