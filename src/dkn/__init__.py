@@ -79,7 +79,18 @@ from .kron_ops import (
     reshape_T,
     tkp,
 )
-from .tensor_core import as_tensor, block, dist, fro_norm, inner, read_dkt, unvec, vec, write_dkt
+from .tensor_core import (
+    as_tensor,
+    block,
+    dist,
+    fro_norm,
+    inner,
+    read_dkt,
+    read_dkt_stack,
+    unvec,
+    vec,
+    write_dkt,
+)
 
 __version__ = "0.1.0"
 
@@ -149,6 +160,7 @@ __all__ = [
     "dist",
     "block",
     "read_dkt",
+    "read_dkt_stack",
     "write_dkt",
     "rng",
     "__version__",

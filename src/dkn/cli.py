@@ -19,6 +19,7 @@ import csv
 import glob as globmod
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -56,7 +57,7 @@ from .errors import (
 from .glm import get_family
 from .harness import ExperimentConfig, gen_images, gen_responses, gen_signal
 from .kron_ops import compose_coeff, conv_chain_eval, kron_chain, reshape_T, reshape_R, tkp
-from .tensor_core import fro_norm, inner, read_dkt, vec, write_dkt
+from .tensor_core import fro_norm, inner, read_dkt, read_dkt_stack, vec, write_dkt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -84,16 +85,35 @@ def _fmt(v):
     return repr(float(v))
 
 
+def _id_range(path, ids):
+    """``range(n)`` for the n distinct ``ids``, which must be 0..n-1."""
+    n = len(ids)
+    if sorted(ids) != list(range(n)):
+        missing = min(set(range(n)) - set(ids))
+        raise DataFormatError(f"{path}: ids must cover 0..{n - 1} exactly, {missing} is missing")
+    return range(n)
+
+
+_IMAGE_NAME = re.compile(r"img_([0-9]+)\.dkt")
+
+
 def _load_images_dir(path):
-    pattern = os.path.join(path, "img_*.dkt")
-    files = sorted(globmod.glob(pattern))
+    """The images ``img_<id>.dkt`` under ``path`` as one stack, image i at
+    row i.  Ids are decimal, with any zero-padding, and must cover 0..n-1
+    exactly, as ``y.csv``'s do, so image i pairs with response row i."""
+    files = globmod.glob(os.path.join(path, "img_*.dkt"))
     if not files:
         raise DataFormatError(f"no img_*.dkt files under {path}")
-    tensors = [read_dkt(f) for f in files]
-    shapes = {t.shape for t in tensors}
-    if len(shapes) != 1:
-        raise DataFormatError(f"{path}: images disagree on extents: {sorted(shapes)}")
-    return np.stack(tensors)
+    by_id = {}
+    for f in sorted(files):
+        match = _IMAGE_NAME.fullmatch(os.path.basename(f))
+        if match is None:
+            raise DataFormatError(f"{f}: image file names must be img_<decimal id>.dkt")
+        i = int(match.group(1))
+        if i in by_id:
+            raise DataFormatError(f"{f}: id {i} is taken by {by_id[i]} as well")
+        by_id[i] = f
+    return read_dkt_stack([by_id[i] for i in _id_range(path, by_id)])
 
 
 def _load_response_csv(path, column="y"):
@@ -116,10 +136,7 @@ def _load_response_csv(path, column="y"):
             if i in values:
                 raise DataFormatError(f"{path}: duplicate id {i}")
             values[i] = v
-    n = len(values)
-    if sorted(values) != list(range(n)):
-        raise DataFormatError(f"{path}: ids must cover 0..{n - 1} exactly")
-    return np.array([values[i] for i in range(n)])
+    return np.array([values[i] for i in _id_range(path, values)])
 
 
 def _write_images_dir(path, images):

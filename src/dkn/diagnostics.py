@@ -36,12 +36,13 @@ from .dkn_fit import (
     _image_stack,
     _inner_products,
     _layer_design,
+    _lower_product,
     _sign_fix,
     _weighted_sum,
     init_spectral,
 )
 from .errors import DegenerateDataError, DimensionError
-from .kron_ops import _contract_lower, compose_coeff, reshape_R_indices
+from .kron_ops import _contract_lower, reshape_R_indices
 from .tensor_core import dist, vec
 
 __all__ = [
@@ -107,6 +108,8 @@ def probe_rip(images, structure, n_probes=50, seed=0):
     if n_probes < 1:
         raise DimensionError("need at least one probe")
     x, _ = _image_stack(images, structure)
+    L = structure.depth
+    canonical = _digits(structure, 1, L)
     ratios = []
     worst = -1.0
     witness_ratio = 1.0
@@ -116,10 +119,15 @@ def probe_rip(images, structure, n_probes=50, seed=0):
             _random_chains(structure, rng.stream(seed, rng.PURPOSE_PROBE, j), 2)
             for j in range(j0, j0 + _PROBE_BLOCK)
         ]
-        coeffs = [compose_coeff(chains) for chains in block]
-        etas = _inner_products(x, np.stack(coeffs, axis=-1), structure)
+        # Each probe's chains in layer-digit order, then all of them
+        # scattered to canonical order at once: one column per probe.
+        coeffs = np.empty((structure.n_voxels, _PROBE_BLOCK))
+        coeffs[canonical] = np.stack(
+            [_lower_product(c[0], L) + _lower_product(c[1], L) for c in block], axis=-1
+        )
+        etas = _inner_products(x, coeffs.reshape(structure.dims3 + (-1,), order="F"), structure)
         for b in range(min(_PROBE_BLOCK, n_probes - j0)):
-            c2 = float(np.sum(coeffs[b] * coeffs[b]))
+            c2 = float(np.sum(coeffs[:, b] * coeffs[:, b]))
             if c2 == 0.0:
                 raise DegenerateDataError("probe drew a zero coefficient")
             ratio = float(np.sum(etas[:, b] ** 2)) / (x.shape[0] * c2)
@@ -152,18 +160,30 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0):
     n = x.shape[0]
     if eps.shape != (n,):
         raise DimensionError("noise length does not match image count")
-    agg = _weighted_sum(x, eps, structure)[_digits(structure, 1, structure.depth), None]
+    L = structure.depth
+    agg = _weighted_sum(x, eps, structure)[_digits(structure, 1, L), None]
+    # Per layer: the sizes of the upper and lower products, and the maps
+    # taking their canonical vecs to layer-digit order.
+    layers = [
+        (
+            int(np.prod(structure.upper_extents(l + 1))),
+            int(np.prod(structure.lower_extents(l - 1))),
+            _digits(structure, l + 1, L),
+            _digits(structure, 1, l - 1),
+        )
+        for l in range(1, L + 1)
+    ]
     # Every term would get the same probe, so one term's block is enough.
     worst = 0.0
     for j in range(n_probes):
         g = rng.stream(seed, rng.PURPOSE_PROBE, j)
-        for l in range(1, structure.depth + 1):
-            u = g.standard_normal(int(np.prod(structure.upper_extents(l + 1))))
-            w = g.standard_normal(int(np.prod(structure.lower_extents(l - 1))))
+        for n_up, n_low, up_digits, low_digits in layers:
+            u = g.standard_normal(n_up)
+            w = g.standard_normal(n_low)
             u /= np.linalg.norm(u)
             w /= np.linalg.norm(w)
-            low = _contract_lower(agg, w[_digits(structure, 1, l - 1)])
-            row = _layer_design([low], [u[_digits(structure, l + 1, structure.depth)]])
+            low = _contract_lower(agg, w[low_digits])
+            row = _layer_design([low], [u[up_digits]])
             worst = max(worst, float(np.linalg.norm(row) / n))
     return worst
 

@@ -10,8 +10,13 @@ the package is defined relative to it.
 The DKT1 byte format serializes one tensor: magic ``b"DKT1"``, one byte
 for the order k (1..4), then k little-endian uint64 extents, then the
 entries as little-endian IEEE-754 float64 in canonical order.
+``read_dkt`` reads one file; ``read_dkt_stack`` reads a list of files of
+equal extents, such as a directory of images, into one preallocated
+``(n, *dims)`` array, each file's entries read straight into its own row.
+Both refuse a malformed file with a :class:`DataFormatError` naming it.
 """
 
+import math
 import os
 import struct
 
@@ -29,6 +34,7 @@ __all__ = [
     "block",
     "write_dkt",
     "read_dkt",
+    "read_dkt_stack",
 ]
 
 MAX_ORDER = 4
@@ -142,28 +148,75 @@ def write_dkt(path, t):
     os.replace(tmp, path)
 
 
+def _read_header(fh, path):
+    """Check the DKT1 header at the start of ``fh`` and the file's length
+    against it, before any payload is read or allocated; return the extents.
+    Every error is a :class:`DataFormatError` naming ``path``."""
+    lead = fh.read(5)
+    if len(lead) < 5:
+        raise DataFormatError(f"{path}: truncated header")
+    if lead[:4] != _MAGIC:
+        raise DataFormatError(f"{path}: bad magic {lead[:4]!r}")
+    order = lead[4]
+    if not 1 <= order <= MAX_ORDER:
+        raise DataFormatError(f"{path}: order byte {order} outside 1..{MAX_ORDER}")
+    extents = fh.read(8 * order)
+    if len(extents) < 8 * order:
+        raise DataFormatError(f"{path}: truncated extent list")
+    dims = struct.unpack(f"<{order}Q", extents)
+    if any(n < 1 for n in dims):
+        raise DataFormatError(f"{path}: non-positive extent in {dims}")
+    expected = 5 + 8 * order + 8 * math.prod(dims)
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise DataFormatError(
+            f"{path}: expected {expected} bytes for extents {dims}, got {size}"
+        )
+    return dims
+
+
+def _read_payload(fh, path, out):
+    """Read the entries after a checked header straight into ``out``, a
+    C-contiguous little-endian float64 array of the payload's size."""
+    if fh.readinto(out) != out.nbytes:
+        raise DataFormatError(f"{path}: file shrank while it was read")
+
+
 def read_dkt(path):
     """Read one tensor from a DKT1 file, validating the header byte by byte."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 5:
-        raise DataFormatError(f"{path}: truncated header")
-    if raw[:4] != _MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}")
-    order = raw[4]
-    if not 1 <= order <= MAX_ORDER:
-        raise DataFormatError(f"{path}: order byte {order} outside 1..{MAX_ORDER}")
-    head = 5 + 8 * order
-    if len(raw) < head:
-        raise DataFormatError(f"{path}: truncated extent list")
-    dims = struct.unpack(f"<{order}Q", raw[5:head])
-    if any(n < 1 for n in dims):
-        raise DataFormatError(f"{path}: non-positive extent in {dims}")
-    count = int(np.prod(dims))
-    expected = head + 8 * count
-    if len(raw) != expected:
-        raise DataFormatError(
-            f"{path}: expected {expected} bytes for extents {dims}, got {len(raw)}"
-        )
-    data = np.frombuffer(raw, dtype="<f8", offset=head, count=count)
-    return unvec(data.astype(np.float64), dims)
+        dims = _read_header(fh, path)
+        data = np.empty(math.prod(dims), dtype="<f8")
+        _read_payload(fh, path, data)
+    return unvec(data.astype(np.float64, copy=False), dims)
+
+
+def read_dkt_stack(paths):
+    """Read DKT1 files of equal extents into one ``(n, *dims)`` float64 array.
+
+    The array is allocated once, from the first file's header, and each
+    file's entries are read straight into their own row: one copy per file
+    and no per-file tensor.  The result equals
+    ``np.stack([read_dkt(p) for p in paths])`` in values and in memory
+    layout: each image column-major, the images one after another.  Each
+    file's header is checked as :func:`read_dkt` checks it, and a file
+    whose extents differ from the first file's is refused, naming both,
+    before its entries are read.
+    """
+    paths = list(paths)
+    if not paths:
+        raise DimensionError("need at least one DKT1 file")
+    rows = None
+    for i, path in enumerate(paths):
+        with open(path, "rb") as fh:
+            dims = _read_header(fh, path)
+            if rows is None:
+                first, shape = path, dims
+                rows = np.empty((len(paths), math.prod(dims)), dtype="<f8")
+            elif dims != shape:
+                raise DataFormatError(f"{path}: extents {dims} differ from {shape} in {first}")
+            _read_payload(fh, path, rows[i])
+    # Row i holds image i's vec; reversing its axes views it column-major.
+    k = len(shape)
+    stack = rows.reshape((len(paths),) + shape[::-1]).transpose(0, *range(k, 0, -1))
+    return stack.astype(np.float64, copy=False)

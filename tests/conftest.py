@@ -1,6 +1,9 @@
-"""Shared pytest config: prints one verdict line per acceptance criterion."""
+"""Shared pytest config: prints one verdict line per acceptance criterion,
+and holds the fixtures that more than one test module uses."""
 
 import re
+
+import pytest
 
 CRITERIA = {
     1: "algebraic identity suite (reshape, conv chain, CP mapping)",
@@ -14,6 +17,27 @@ CRITERIA = {
     9: "contraction constants and noiseless reduction",
     10: "CLI byte-for-byte determinism",
 }
+
+@pytest.fixture
+def malformed_dkt():
+    """A function from a good DKT1 file's bytes to malformed variants of
+    them, keyed by file name: each one that a reader must refuse."""
+
+    def cases(raw):
+        order = raw[4]
+        return {
+            "magic.dkt": b"NOPE" + raw[4:],
+            "short.dkt": raw[:3],
+            "order0.dkt": raw[:4] + bytes([0]) + raw[5:],
+            "order9.dkt": raw[:4] + bytes([9]) + raw[5:],
+            "extents.dkt": raw[: 5 + 8 * order - 1],
+            "zero.dkt": raw[:5] + (0).to_bytes(8, "little") + raw[13:],
+            "length.dkt": raw[:-8],
+            "trailing.dkt": raw + b"\x00",
+        }
+
+    return cases
+
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

@@ -20,7 +20,7 @@ from numpy.testing import assert_allclose
 
 import dkn
 from dkn import rng
-from dkn.cli import build_parser, main
+from dkn.cli import _load_images_dir, build_parser, main
 from dkn.dkn_fit import DknStructure, FitOptions, auto_structure, fit, load_model, predict
 from dkn.kron_ops import compose_coeff
 from dkn.tensor_core import write_dkt
@@ -259,6 +259,62 @@ def test_non_finite_inputs_exit_2_naming_the_index(tmp_path, capsys):
     write_responses(tmp_path / "inf.csv", y_inf)
     assert main(["fit", "--images", imgdir, "--y", str(tmp_path / "inf.csv"), "--out", out]) == 2
     assert "response row 23 is not finite" in capsys.readouterr().err
+
+
+def test_image_directory_is_read_in_id_order(tmp_path):
+    """Files pair with y.csv rows by the integer id in their names, whatever
+    the zero-padding: img_9 before img_10, and padded and unpadded alike."""
+    imgdir, ycsv, _, x, _ = write_rank1_dataset(tmp_path, n=24, seed=17)
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    for i in range(24):
+        name = f"img_{i}.dkt" if i % 3 else f"img_{i:03d}.dkt"
+        shutil.copy(os.path.join(imgdir, f"img_{i:05d}.dkt"), mixed / name)
+    assert np.array_equal(_load_images_dir(str(mixed)), x)
+
+    models = [tmp_path / "padded", tmp_path / "mixed_model"]
+    for d, out in zip([imgdir, str(mixed)], models):
+        assert main(["fit", "--images", d, "--y", ycsv, "--out", str(out),
+                     "--max-sweeps", "3"]) == 0
+    for name in os.listdir(models[0]):
+        assert (models[0] / name).read_bytes() == (models[1] / name).read_bytes(), name
+
+
+def _copy(src, dst):
+    return lambda d: shutil.copy(os.path.join(d, src), os.path.join(d, dst))
+
+
+def _rename(src, dst):
+    return lambda d: os.rename(os.path.join(d, src), os.path.join(d, dst))
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (_copy("img_00001.dkt", "img_1a.dkt"), "img_1a.dkt"),
+    (_copy("img_00001.dkt", "img_-1.dkt"), "img_-1.dkt"),
+    (_copy("img_00001.dkt", "img_1.dkt"), "img_1.dkt"),
+    (lambda d: os.remove(os.path.join(d, "img_00003.dkt")), "3 is missing"),
+    (_rename("img_00000.dkt", "img_8.dkt"), "0 is missing"),
+    (lambda d: write_dkt(os.path.join(d, "img_00005.dkt"), np.zeros((4, 16))), "img_00005.dkt"),
+], ids=["bad-name", "negative-id", "duplicate-id", "gap", "ids-from-1", "mixed-extents"])
+def test_fit_refuses_a_bad_image_directory_with_exit_2(tmp_path, capsys, mutate, named):
+    imgdir, ycsv, _, _, _ = write_rank1_dataset(tmp_path, n=8, seed=3)
+    mutate(imgdir)
+    assert main(["fit", "--images", imgdir, "--y", ycsv, "--out", str(tmp_path / "m")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_fit_refuses_a_malformed_image_file_with_exit_2(tmp_path, capsys, malformed_dkt):
+    imgdir, ycsv, _, _, _ = write_rank1_dataset(tmp_path, n=8, seed=3)
+    bad = os.path.join(imgdir, "img_00004.dkt")
+    with open(bad, "rb") as fh:
+        good = fh.read()
+    for name, contents in malformed_dkt(good).items():
+        with open(bad, "wb") as fh:
+            fh.write(contents)
+        assert main(["fit", "--images", imgdir, "--y", ycsv, "--out", str(tmp_path / "m")]) == 2
+        assert "img_00004.dkt" in capsys.readouterr().err, name
+        assert not (tmp_path / "m").exists(), name
 
 
 def test_predict_rejects_missing_model(tmp_path):

@@ -400,6 +400,24 @@ def test_probe_rip_partial_blocks_match_single_probes():
         assert probe_rip(images, S883, n_probes=n_probes, seed=6).ratios == full.ratios[:n_probes]
 
 
+def test_probe_rip_matches_composed_probes_on_3d_stacks():
+    """Each probe is composed in layer-digit order and scattered to canonical
+    order; its ratio matches the probe composed with ``compose_coeff``, for a
+    C-ordered stack and for the stack of column-major tensors DKT1 files give."""
+    structure = DknStructure(image_dims=(4, 2, 6), factor_dims=[(2, 1, 3), (2, 2, 2)])
+    g = rng.stream(27, rng.PURPOSE_IMAGES, 0)
+    images = g.standard_normal((40, 4, 2, 6))
+    columns = np.stack([np.asfortranarray(x) for x in images])
+    vx = images.reshape(40, -1, order="F")
+    want = []
+    for j in range(13):
+        p = rng.stream(8, rng.PURPOSE_PROBE, j)
+        c = compose_coeff([[p.standard_normal(fd) for fd in structure.factor_dims] for _ in range(2)])
+        want.append(float(np.sum((vx @ vec(c)) ** 2)) / (40 * float(np.sum(c * c))))
+    for stack in (images, columns):
+        assert_allclose(probe_rip(stack, structure, n_probes=13, seed=8).ratios, want, rtol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_probe_rip_passes_non_finite_pixels_through(bad):
     """``probe_rip`` does not check pixels: one non-finite pixel makes every

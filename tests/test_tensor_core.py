@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from dkn.tensor_core import (
     fro_norm,
     inner,
     read_dkt,
+    read_dkt_stack,
     unvec,
     vec,
     write_dkt,
@@ -193,28 +196,71 @@ def test_dkt_golden_bytes(tmp_path):
     assert raw == expected
 
 
-def test_dkt_rejects_malformed_files(tmp_path):
+def test_dkt_rejects_malformed_files(tmp_path, malformed_dkt):
     good = tmp_path / "good.dkt"
     write_dkt(good, np.arange(4, dtype=np.float64).reshape(2, 2))
-    raw = good.read_bytes()
-
-    cases = {
-        "magic.dkt": b"NOPE" + raw[4:],
-        "short.dkt": raw[:3],
-        "order0.dkt": raw[:4] + bytes([0]) + raw[5:],
-        "order9.dkt": raw[:4] + bytes([9]) + raw[5:],
-        "extents.dkt": raw[: 5 + 8],
-        "length.dkt": raw[:-8],
-        "trailing.dkt": raw + b"\x00" * 8,
-    }
-    for name, contents in cases.items():
+    for name, contents in malformed_dkt(good.read_bytes()).items():
         p = tmp_path / name
         p.write_bytes(contents)
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=name):
             read_dkt(p)
 
-    zero_extent = raw[:5] + (0).to_bytes(8, "little") + raw[13:]
-    p = tmp_path / "zero.dkt"
-    p.write_bytes(zero_extent)
-    with pytest.raises(DataFormatError):
-        read_dkt(p)
+
+def test_dkt_length_errors_report_the_file_size(tmp_path):
+    good = tmp_path / "good.dkt"
+    write_dkt(good, np.arange(6, dtype=np.float64).reshape(2, 3))
+    raw = good.read_bytes()
+    for name, contents in [("short.dkt", raw[:-1]), ("long.dkt", raw + b"\x00")]:
+        p = tmp_path / name
+        p.write_bytes(contents)
+        expect = f"expected {len(raw)} bytes for extents (2, 3), got {len(contents)}"
+        for read in (read_dkt, lambda q: read_dkt_stack([good, q])):
+            with pytest.raises(DataFormatError, match=re.escape(expect)):
+                read(p)
+
+
+def _write_stack(root, dims, n, seed=0):
+    g = np.random.default_rng(seed)
+    paths = []
+    for i in range(n):
+        paths.append(root / f"img_{i}.dkt")
+        write_dkt(paths[-1], g.standard_normal(dims))
+    return paths
+
+
+@pytest.mark.parametrize("dims", [(7,), (3, 4), (2, 3, 4), (2, 2, 3, 2)])
+@pytest.mark.parametrize("n", [1, 5])
+def test_read_dkt_stack_matches_stacking_read_dkt(tmp_path, dims, n):
+    """The oracle is the per-file read followed by np.stack: same values,
+    dtype, shape and strides (so the same memory order downstream)."""
+    paths = _write_stack(tmp_path, dims, n, seed=len(dims))
+    want = np.stack([read_dkt(p) for p in paths])
+    got = read_dkt_stack(paths)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.strides == want.strides
+    assert np.array_equal(got, want)
+    assert got.flags.writeable
+
+
+def test_read_dkt_stack_names_each_malformed_file(tmp_path, malformed_dkt):
+    paths = _write_stack(tmp_path, (2, 3), 4)
+    for name, contents in malformed_dkt(paths[0].read_bytes()).items():
+        bad = tmp_path / name
+        bad.write_bytes(contents)
+        for at in (0, 2, 4):
+            with pytest.raises(DataFormatError, match=name):
+                read_dkt_stack(paths[:at] + [bad] + paths[at:])
+
+
+def test_read_dkt_stack_refuses_mixed_extents_naming_both_files(tmp_path):
+    paths = _write_stack(tmp_path, (2, 3), 3)
+    odd = tmp_path / "odd.dkt"
+    write_dkt(odd, np.zeros((3, 2)))
+    with pytest.raises(DataFormatError, match=r"odd\.dkt.*\(3, 2\).*\(2, 3\).*img_0\.dkt"):
+        read_dkt_stack(paths + [odd])
+    write_dkt(odd, np.zeros((2, 3, 1)))
+    with pytest.raises(DataFormatError, match=r"odd\.dkt.*img_0\.dkt"):
+        read_dkt_stack(paths[:1] + [odd] + paths[1:])
+    with pytest.raises(DimensionError):
+        read_dkt_stack([])
