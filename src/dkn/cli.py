@@ -246,30 +246,25 @@ def cmd_fit(args):
         except ValueError:
             raise DimensionError(f"--rank expects an integer or 'scan', got {args.rank!r}") from None
     structure, padded_from = _resolve_structure(images.shape[1:], args, base_rank)
+    if not scanning:
+        ranks = [structure.rank]
     options = _fit_options(args, center)
 
     os.makedirs(args.out, exist_ok=True)
+    scan = scan_rank(images, y, structure, ranks, family=args.family,
+                     options=options, padded_from=padded_from)
+    save_model(scan.best_model, args.out)
+    report = scan.reports[scan.best_rank]
+    _write_json(os.path.join(args.out, "fit_report.json"), report.to_dict(include_timing=False))
     if scanning:
-        scan = scan_rank(images, y, structure, ranks, family=args.family,
-                         options=options, padded_from=padded_from)
-        save_model(scan.best_model, args.out)
         _write_json(os.path.join(args.out, "scan_report.json"),
                     scan.to_dict(include_timing=False))
-        report = scan.reports[scan.best_rank]
-        _write_json(os.path.join(args.out, "fit_report.json"),
-                    report.to_dict(include_timing=False))
         print(f"fit: scanned ranks {ranks}, selected rank {scan.best_rank} "
               f"(bic {scan.bic_table[scan.best_rank]:.6g}), model in {args.out}")
     else:
-        model, report = fit(images, y, structure, family=args.family,
-                            options=options, padded_from=padded_from)
-        save_model(model, args.out)
-        _write_json(os.path.join(args.out, "fit_report.json"),
-                    report.to_dict(include_timing=False))
         print(f"fit: rank {structure.rank}, {report.sweeps} sweeps, "
               f"converged={report.converged}, model in {args.out}")
-    reports = scan.reports if scanning else {structure.rank: report}
-    for rank, rep in sorted(reports.items()):
+    for rank, rep in sorted(scan.reports.items()):
         if not rep.converged:
             print(f"dkn {args.command}: rank {rank} did not converge: {rep.sweeps} sweeps, "
                   f"final_rel_change {rep.final_rel_change:.6g} (tol {args.tol:g})",

@@ -32,17 +32,18 @@ from . import rng
 from .dkn_fit import (
     DknModel,
     DknStructure,
+    _design,
     _digits,
     _image_stack,
     _inner_products,
-    _layer_design,
     _lower_product,
     _sign_fix,
+    _vectorize_images,
     _weighted_sum,
     init_spectral,
 )
 from .errors import DegenerateDataError, DimensionError
-from .kron_ops import _contract_lower, reshape_R_indices
+from .kron_ops import reshape_R_indices
 from .tensor_core import dist, vec
 
 __all__ = [
@@ -155,35 +156,28 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0):
     order, serves every probe.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
+    if n_probes < 1:
+        raise DimensionError("need at least one probe")
     eps = np.asarray(noise, dtype=np.float64)
     x, _ = _image_stack(images, structure)
     n = x.shape[0]
     if eps.shape != (n,):
         raise DimensionError("noise length does not match image count")
-    L = structure.depth
-    agg = _weighted_sum(x, eps, structure)[_digits(structure, 1, L), None]
-    # Per layer: the sizes of the upper and lower products, and the maps
-    # taking their canonical vecs to layer-digit order.
-    layers = [
-        (
-            int(np.prod(structure.upper_extents(l + 1))),
-            int(np.prod(structure.lower_extents(l - 1))),
-            _digits(structure, l + 1, L),
-            _digits(structure, 1, l - 1),
-        )
-        for l in range(1, L + 1)
+    agg = _vectorize_images(_weighted_sum(x, eps, structure)[None], structure)
+    sizes = [
+        (int(np.prod(structure.upper_extents(l + 1))), int(np.prod(structure.lower_extents(l - 1))))
+        for l in range(1, structure.depth + 1)
     ]
     # Every term would get the same probe, so one term's block is enough.
     worst = 0.0
     for j in range(n_probes):
         g = rng.stream(seed, rng.PURPOSE_PROBE, j)
-        for n_up, n_low, up_digits, low_digits in layers:
+        for l, (n_up, n_low) in enumerate(sizes, start=1):
             u = g.standard_normal(n_up)
             w = g.standard_normal(n_low)
             u /= np.linalg.norm(u)
             w /= np.linalg.norm(w)
-            low = _contract_lower(agg, w[low_digits])
-            row = _layer_design([low], [u[up_digits]])
+            row = _design(agg, structure, l, [u], [w])
             worst = max(worst, float(np.linalg.norm(row) / n))
     return worst
 

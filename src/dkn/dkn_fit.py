@@ -49,7 +49,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .errors import (
     DimensionError,
     RankDeficiencyError,
 )
-from .kron_ops import _contract_lower, _contract_upper, _triple, compose_coeff, kron_chain
+from .kron_ops import _contract_lower, _contract_upper, _kron, _triple, compose_coeff, kron_chain
 from .kron_ops import reshape_R_indices, reshape_T_indices
 from .tensor_core import dist, read_dkt, unvec, vec, write_dkt
 
@@ -525,6 +525,7 @@ def _check_layer(structure, l):
         raise DimensionError(f"layer {l} outside 1..{structure.depth}")
 
 
+@lru_cache(maxsize=256)
 def _digits(structure, first, last):
     """Index map from the canonical vec of layers first..last composed to
     layer-digit order (``kron_ops.reshape_T_indices``); the full slice for
@@ -540,11 +541,6 @@ def _split_layer(structure):
     K_m are the rows each term keeps of the stack against its two products."""
     k = np.cumprod([structure.layer_size(l) for l in range(1, structure.depth)])
     return 1 + int(np.argmin(k + structure.n_voxels // k))
-
-
-def _kron(a, b):
-    """``np.kron`` of two 1-D vectors, the same bytes without its overhead."""
-    return np.multiply.outer(a, b).ravel()
 
 
 def _lower_product(chain, l):
@@ -619,10 +615,9 @@ def build_design(images, structure, l, left, right):
     vec per rank term.  Column block r (size d_l*p_l*q_l) multiplies term
     r's layer-l factor, so ``design @ stacked_factors`` reproduces the full
     model's linear predictor exactly.  Each call copies ``images`` into the
-    solver's stack once and maps the products into its order; at layer 1
-    the lower products are scalars, which scale the upper products so the
-    stack is contracted only once.  Pixels are not checked: a non-finite
-    pixel makes its image's design row non-finite.
+    solver's stack once and maps the products into its order (see
+    :func:`_design`).  Pixels are not checked: a non-finite pixel makes its
+    image's design row non-finite.
     """
     _check_layer(structure, l)
     left = [np.asarray(v, dtype=np.float64).ravel() for v in left]
@@ -639,9 +634,15 @@ def build_design(images, structure, l, left, right):
             raise DimensionError(f"term {r + 1}: upper product has {left[r].size} entries, expected {n_up}")
         if right[r].size != n_lo:
             raise DimensionError(f"term {r + 1}: lower product has {right[r].size} entries, expected {n_lo}")
-    vec_x = _vectorize_images(images, structure)
+    return _design(_vectorize_images(images, structure), structure, l, left, right)
+
+
+def _design(vec_x, structure, l, left, right):
+    """:func:`build_design` of the solver's stack ``vec_x``, at canonical
+    products already checked.  At layer 1 the lower products are scalars,
+    which scale the upper products so the stack is contracted only once."""
     ups = [u[_digits(structure, l + 1, structure.depth)] for u in left]
-    if l == 1:  # scalar lower products: scale the upper ones, not the stack
+    if l == 1:
         out = _upper_pass(vec_x, [w[0] * u for w, u in zip(right, ups)])
         return out.reshape(-1, vec_x.shape[1]).T
     lo = _digits(structure, 1, l - 1)
@@ -677,12 +678,14 @@ def _stack_layer(factors, l):
 
 def _solve_layer(family, design, y, ridge, beta0=None):
     """GLM solution of one layer's subproblem, warm-started from ``beta0``
-    (see :func:`glm.fit_glm`).  A rank-deficient solve is retried with the
-    default ridge unless ``ridge`` is exactly 0.0."""
+    (see :func:`glm.fit_glm`).  A rank-deficient solve under an explicit
+    positive ``ridge`` is retried once with the default ridge.  Otherwise
+    the error stands: ``ridge=None`` already solved with the default ridge,
+    and an explicit 0.0 asks for no penalty."""
     try:
         return glm.fit_glm(family, design, y, ridge=ridge, beta0=beta0)
     except RankDeficiencyError:
-        if ridge == 0.0:
+        if ridge is None or ridge == 0.0:
             raise
         return glm.fit_glm(family, design, y, ridge=glm.default_ridge(design), beta0=beta0)
 
@@ -992,6 +995,7 @@ def scan_rank(images, response, structure, ranks, family="gaussian", options=Non
     fit's, up to the ridge penalty of its solves.  A cold fit of any rank
     is one :func:`fit` call.
     """
+    structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     ranks = sorted({int(r) for r in ranks})
     if not ranks:
         raise DimensionError("need at least one candidate rank")

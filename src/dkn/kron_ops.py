@@ -2,7 +2,7 @@ r"""Tensor Kronecker products and the reshaping operators built on them.
 
 The Kronecker product used throughout follows the package's grouped-index
 rule: in ``tkp(a, b)`` the index of ``a`` varies fastest along every mode,
-so for vectors ``tkp(a, b) == np.kron(b, a)``.  A factor chain
+so ``tkp(a, b) == np.kron(b, a)``.  A factor chain
 ``[B_1, ..., B_L]`` composes with layer L innermost (fastest) and layer 1
 outermost; chained non-overlapping convolution applies B_1 first.
 
@@ -19,11 +19,14 @@ Two reshaping operators expose the multilinear structure:
 
 Both are pure index permutations: entries are moved, never combined.
 
-In layer-digit order a chain is ``np.kron(vec(B_1), ..., vec(B_L))``, so
-the one contraction of a ``(rows, n)`` stack against a chain's lower or
-upper product, ``_contract_lower`` and its mirror ``_contract_upper``, is
-one contiguous matmul.  ``dkn_fit.fit``, ``dkn_fit.build_design``,
-``diagnostics.probe_tau0`` and ``nonoverlap_conv`` all go through them.
+In layer-digit order a chain is ``np.kron(vec(B_1), ..., vec(B_L))``, the
+one fold (``_kron``) that composes every chain: ``kron_chain`` scatters it
+to canonical order, and the solver keeps it as is.  So the one contraction
+of a ``(rows, n)`` stack against a chain's lower or upper product,
+``_contract_lower`` and its mirror ``_contract_upper``, is one contiguous
+matmul.  ``dkn_fit.fit``, ``dkn_fit.build_design`` and ``nonoverlap_conv``
+go through them, and ``diagnostics.probe_tau0`` reaches them through
+``build_design``'s core.
 """
 
 from functools import lru_cache, reduce
@@ -31,7 +34,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import DimensionError
-from .tensor_core import vec
+from .tensor_core import unvec, vec
 
 __all__ = [
     "tkp",
@@ -64,33 +67,41 @@ def _triple(dims):
 
 
 def tkp(a, b):
-    """Kronecker product with a's index fastest along every mode."""
+    """Kronecker product with a's index fastest along every mode:
+    ``np.kron(b, a)``, column-major like every composed tensor here."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != b.ndim:
         raise DimensionError(f"order mismatch: {a.ndim} vs {b.ndim}")
-    k = a.ndim
-    t = np.tensordot(a, b, axes=0)
-    perm = []
-    for m in range(k):
-        perm += [m, k + m]
-    out = [a.shape[m] * b.shape[m] for m in range(k)]
-    return t.transpose(perm).reshape(out, order="F")
+    return np.asfortranarray(np.kron(b, a))
+
+
+def _kron(a, b):
+    """``np.kron`` of two 1-D vectors, the same bytes without its overhead."""
+    return np.multiply.outer(a, b).ravel()
 
 
 def kron_chain(factors):
-    """Compose ``[B_1, ..., B_L]`` with layer L innermost.
+    """Compose ``[B_1, ..., B_L]`` with layer L innermost:
+    tkp(B_L, tkp(B_{L-1}, ... tkp(B_2, B_1))).
 
-    Equals tkp(B_L, tkp(B_{L-1}, ... tkp(B_2, B_1))); tkp is associative,
-    so any grouping gives the same result.
+    The factors must share one order in 1..3.  Their vecs are folded into
+    layer-digit order, ``np.kron(vec(B_1), ..., vec(B_L))``, which one
+    scatter (``reshape_T_indices``) puts in canonical order.  Each entry is
+    the product B_1 B_2 ... B_L associated from the left, as in the tkp
+    fold, so the two routes give the same bytes.
     """
-    factors = list(factors)
+    factors = [np.asarray(f, dtype=np.float64) for f in factors]
     if not factors:
         raise DimensionError("factor chain must be non-empty")
-    orders = {np.ndim(f) for f in factors}
+    orders = {f.ndim for f in factors}
     if len(orders) != 1:
         raise DimensionError(f"factors must share one order, got orders {sorted(orders)}")
-    return reduce(lambda acc, f: tkp(f, acc), factors[1:], np.asarray(factors[0], dtype=np.float64))
+    fd = [_triple(f.shape) for f in factors]  # refuses orders outside 1..3
+    dims = np.prod(fd, axis=0)
+    out = np.empty(int(np.prod(dims)))
+    out[reshape_T_indices(dims, fd)] = reduce(_kron, [vec(f) for f in factors])
+    return unvec(out, dims[: orders.pop()])
 
 
 def compose_coeff(terms):

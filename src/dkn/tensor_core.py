@@ -10,10 +10,11 @@ the package is defined relative to it.
 The DKT1 byte format serializes one tensor: magic ``b"DKT1"``, one byte
 for the order k (1..4), then k little-endian uint64 extents, then the
 entries as little-endian IEEE-754 float64 in canonical order.
-``read_dkt`` reads one file; ``read_dkt_stack`` reads a list of files of
-equal extents, such as a directory of images, into one preallocated
-``(n, *dims)`` array, each file's entries read straight into its own row.
-Both refuse a malformed file with a :class:`DataFormatError` naming it.
+``read_dkt_stack`` reads a list of files of equal extents, such as a
+directory of images, into one preallocated ``(n, *dims)`` array, each
+file's entries read straight into its own row; ``read_dkt`` reads one file
+as a stack of one.  A malformed file is refused with a
+:class:`DataFormatError` naming it.
 """
 
 import math
@@ -175,20 +176,10 @@ def _read_header(fh, path):
     return dims
 
 
-def _read_payload(fh, path, out):
-    """Read the entries after a checked header straight into ``out``, a
-    C-contiguous little-endian float64 array of the payload's size."""
-    if fh.readinto(out) != out.nbytes:
-        raise DataFormatError(f"{path}: file shrank while it was read")
-
-
 def read_dkt(path):
-    """Read one tensor from a DKT1 file, validating the header byte by byte."""
-    with open(path, "rb") as fh:
-        dims = _read_header(fh, path)
-        data = np.empty(math.prod(dims), dtype="<f8")
-        _read_payload(fh, path, data)
-    return unvec(data.astype(np.float64, copy=False), dims)
+    """Read one tensor from a DKT1 file, validating the header byte by byte:
+    :func:`read_dkt_stack` of the one file."""
+    return read_dkt_stack([path])[0]
 
 
 def read_dkt_stack(paths):
@@ -196,12 +187,10 @@ def read_dkt_stack(paths):
 
     The array is allocated once, from the first file's header, and each
     file's entries are read straight into their own row: one copy per file
-    and no per-file tensor.  The result equals
-    ``np.stack([read_dkt(p) for p in paths])`` in values and in memory
-    layout: each image column-major, the images one after another.  Each
-    file's header is checked as :func:`read_dkt` checks it, and a file
-    whose extents differ from the first file's is refused, naming both,
-    before its entries are read.
+    and no per-file tensor.  In memory each image is column-major, the
+    images one after another.  Each file's header and length are checked
+    before its entries are read, and a file whose extents differ from the
+    first file's is refused, naming both.
     """
     paths = list(paths)
     if not paths:
@@ -215,7 +204,8 @@ def read_dkt_stack(paths):
                 rows = np.empty((len(paths), math.prod(dims)), dtype="<f8")
             elif dims != shape:
                 raise DataFormatError(f"{path}: extents {dims} differ from {shape} in {first}")
-            _read_payload(fh, path, rows[i])
+            if fh.readinto(rows[i]) != rows[i].nbytes:
+                raise DataFormatError(f"{path}: file shrank while it was read")
     # Row i holds image i's vec; reversing its axes views it column-major.
     k = len(shape)
     stack = rows.reshape((len(paths),) + shape[::-1]).transpose(0, *range(k, 0, -1))

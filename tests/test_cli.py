@@ -134,6 +134,22 @@ def test_fit_scan_selects_rank_and_reports_bic(tmp_path):
     assert (out / "fit_report.json").exists()
 
 
+def test_fit_writes_the_files_of_a_one_rank_scan(tmp_path):
+    """``dkn fit --rank 1`` is ``scan-rank --ranks 1`` without the scan
+    report: the same manifest, factor files and fit report, byte for byte."""
+    imgdir, ycsv, _, _, _ = write_rank1_dataset(tmp_path, n=120, seed=19)
+    common = ["--images", imgdir, "--y", ycsv, "--family", "gaussian", "--max-sweeps", "6"]
+    fit_dir, scan_dir = tmp_path / "fit", tmp_path / "scan"
+    assert main(["fit", "--rank", "1", "--out", str(fit_dir)] + common) == 0
+    assert main(["scan-rank", "--ranks", "1", "--out", str(scan_dir)] + common) == 0
+    written = sorted(os.listdir(fit_dir))
+    assert sorted(os.listdir(scan_dir)) == sorted(written + ["scan_report.json"])
+    assert "manifest.json" in written and "fit_report.json" in written
+    assert sum(name.startswith("factor_") for name in written) == 3
+    for name in written:
+        assert (fit_dir / name).read_bytes() == (scan_dir / name).read_bytes(), name
+
+
 @pytest.mark.parametrize(
     "command",
     [["fit"], ["fit", "--rank", "scan", "--ranks", "1,2"], ["scan-rank", "--ranks", "1,2"]],

@@ -433,8 +433,11 @@ def test_probe_rip_passes_non_finite_pixels_through(bad):
 
 def test_probe_rip_validation():
     images = np.zeros((4, 8, 8))
-    with pytest.raises(DimensionError):
-        probe_rip(images, S883, n_probes=0)
+    for n_probes in (0, -3):
+        with pytest.raises(DimensionError, match="at least one probe"):
+            probe_rip(images, S883, n_probes=n_probes)
+        with pytest.raises(DimensionError, match="at least one probe"):
+            probe_tau0(images, np.ones(4), S883, n_probes=n_probes)
 
 
 def test_probe_tau0_zero_noise_and_linearity():
@@ -480,6 +483,65 @@ def test_probe_tau0_matches_per_image_designs():
                                       [w / np.linalg.norm(w)])
                 want = max(want, float(np.linalg.norm(design.T @ eps)) / n)
         assert_allclose(probe_tau0(images, eps, structure, n_probes=6, seed=3), want, rtol=1e-12)
+
+
+def _tau0_digit_map_oracle(images, noise, structure, n_probes, seed):
+    """probe_tau0 without build_design's core: the aggregate mapped to
+    layer-digit order by hand, a per-layer table of digit maps, and each
+    probe's lower and upper products contracted with their own calls."""
+    from dkn.dkn_fit import _digits, _layer_design, _weighted_sum
+    from dkn.kron_ops import _contract_lower
+
+    n, L = images.shape[0], structure.depth
+    agg = _weighted_sum(images, noise, structure)[_digits(structure, 1, L), None]
+    layers = [
+        (
+            int(np.prod(structure.upper_extents(l + 1))),
+            int(np.prod(structure.lower_extents(l - 1))),
+            _digits(structure, l + 1, L),
+            _digits(structure, 1, l - 1),
+        )
+        for l in range(1, L + 1)
+    ]
+    worst = 0.0
+    for j in range(n_probes):
+        g = rng.stream(seed, rng.PURPOSE_PROBE, j)
+        for n_up, n_low, up_digits, low_digits in layers:
+            u = g.standard_normal(n_up)
+            w = g.standard_normal(n_low)
+            u /= np.linalg.norm(u)
+            w /= np.linalg.norm(w)
+            low = _contract_lower(agg, w[low_digits])
+            row = _layer_design([low], [u[up_digits]])
+            worst = max(worst, float(np.linalg.norm(row) / n))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "dims, factor_dims",
+    [
+        ((32,), None),
+        ((8, 12), [(2, 3), (2, 2), (2, 2)]),
+        ((8, 8, 8), None),
+        ((4, 6, 8), [(2, 1, 2), (1, 3, 2), (2, 2, 2)]),
+        ((5, 4, 6), None),
+    ],
+)
+def test_probe_tau0_matches_the_digit_map_oracle_bitwise(dims, factor_dims):
+    """Both routes give the same bytes, at every depth and on a padded
+    structure, in either memory order of the images."""
+    if factor_dims is None:
+        structure, padded_from = auto_structure(dims)
+    else:
+        structure, padded_from = DknStructure(dims, factor_dims), None
+    g = rng.stream(25, rng.PURPOSE_IMAGES, 0)
+    images = g.standard_normal((30,) + dims)
+    if padded_from is not None:
+        images = pad_images(images, padded_from, structure.image_dims)
+    eps = rng.stream(25, rng.PURPOSE_RESPONSES, 0).standard_normal(30)
+    for x in (images, np.asfortranarray(images)):
+        want = _tau0_digit_map_oracle(x, eps, structure, n_probes=8, seed=4)
+        assert probe_tau0(x, eps, structure, n_probes=8, seed=4) == want
 
 
 def test_true_left_products_recovers_chain():

@@ -36,8 +36,8 @@ from dkn.dkn_fit import (
 )
 from dkn.cli import _load_images_dir
 from dkn.dkn_fit import _vectorize_images
-from dkn.errors import DataFormatError, DegenerateDataError, DimensionError
-from dkn.glm import BERNOULLI, GAUSSIAN, IRLS_GRAD_TOL, default_ridge, nll_eta
+from dkn.errors import DataFormatError, DegenerateDataError, DimensionError, RankDeficiencyError
+from dkn.glm import BERNOULLI, GAUSSIAN, IRLS_GRAD_TOL, default_ridge, fit_glm, nll_eta
 from dkn.kron_ops import compose_coeff, kron_chain, reshape_R_indices, reshape_T, tkp
 from dkn.tensor_core import dist, inner, unvec, vec, write_dkt
 
@@ -1056,6 +1056,50 @@ def test_scan_first_rank_is_a_cold_fit_bit_for_bit():
     for a, b in zip(got.snapshots, cold.snapshots):
         assert all(np.array_equal(f, g) for s, t in zip(a, b) for f, g in zip(s, t))
     assert len(got.snapshots) == cold.sweeps
+
+
+def test_scan_rank_accepts_a_dict_structure():
+    """A structure given as a dict is coerced as ``fit`` coerces it."""
+    images, y = scan_problem(44, 120, "gaussian")
+    as_dict = {"image_dims": S883.image_dims, "factor_dims": S883.factor_dims, "rank": 1}
+    got = scan_rank(images, y, as_dict, [1, 2])
+    want = scan_rank(images, y, S883, [1, 2])
+    assert got.to_dict(include_timing=False) == want.to_dict(include_timing=False)
+    assert got.best_model.structure == want.best_model.structure
+    for a, b in zip(got.best_model.factors, want.best_model.factors):
+        assert all(np.array_equal(f, g) for f, g in zip(a, b))
+
+
+def _count_fit_glm(monkeypatch):
+    """Patch ``glm.fit_glm`` to record the ridge of every call."""
+    calls, solve = [], dkn_fit.glm.fit_glm
+
+    def spy(family, design, y, ridge=None, **kwargs):
+        calls.append(ridge)
+        return solve(family, design, y, ridge=ridge, **kwargs)
+
+    monkeypatch.setattr(dkn_fit.glm, "fit_glm", spy)
+    return calls
+
+
+def test_solve_layer_does_not_repeat_a_default_ridge_solve(monkeypatch):
+    """With ``ridge=None`` the solve already used the default ridge (0.0
+    on an all-zero design), so a rank-deficient one is not run again."""
+    calls = _count_fit_glm(monkeypatch)
+    with pytest.raises(RankDeficiencyError):
+        dkn_fit._solve_layer(GAUSSIAN, np.zeros((4, 2)), np.arange(4.0), None)
+    assert calls == [None]
+
+
+def test_solve_layer_retries_an_explicit_ridge_with_the_default(monkeypatch):
+    design = np.full((4, 2), 1e8)  # two equal columns: the gram is singular
+    y = np.arange(4.0)
+    calls = _count_fit_glm(monkeypatch)
+    beta = dkn_fit._solve_layer(GAUSSIAN, design, y, 1e-20)
+    assert calls == [1e-20, default_ridge(design)]
+    assert np.array_equal(beta, fit_glm(GAUSSIAN, design, y, ridge=default_ridge(design)))
+    with pytest.raises(RankDeficiencyError):
+        fit_glm(GAUSSIAN, design, y, ridge=1e-20)
 
 
 def test_rank_start_seeds_one_term_per_added_rank(monkeypatch):

@@ -59,22 +59,19 @@ def test_tkp_matches_numpy_kron_with_swapped_roles():
 
 
 def test_tkp_entry_formula():
-    """out[i_a + da*i_b, j_a + pa*j_b, k_a + qa*k_b] = a[ia,ja,ka] * b[ib,jb,kb]."""
+    """out[i_a + da*i_b, j_a + pa*j_b, k_a + qa*k_b] = a[ia,ja,ka] * b[ib,jb,kb],
+    checked entry by entry at every order, and the result is column-major."""
     rng = np.random.default_rng(1)
-    a = rng.standard_normal((2, 3, 2))
-    b = rng.standard_normal((3, 2, 2))
-    out = tkp(a, b)
-    assert out.shape == (6, 6, 4)
-    for ia in range(2):
-        for ja in range(3):
-            for ka in range(2):
-                for ib in range(3):
-                    for jb in range(2):
-                        for kb in range(2):
-                            assert (
-                                out[ia + 2 * ib, ja + 3 * jb, ka + 2 * kb]
-                                == a[ia, ja, ka] * b[ib, jb, kb]
-                            )
+    for a_dims, b_dims in [((3,), (4,)), ((2, 3), (3, 2)), ((2, 3, 2), (3, 2, 2))]:
+        a = rng.standard_normal(a_dims)
+        b = rng.standard_normal(b_dims)
+        out = tkp(a, b)
+        assert out.shape == tuple(m * n for m, n in zip(a_dims, b_dims))
+        assert out.flags.f_contiguous
+        for ia in np.ndindex(*a_dims):
+            for ib in np.ndindex(*b_dims):
+                at = tuple(i + m * j for i, m, j in zip(ia, a_dims, ib))
+                assert out[at] == a[ia] * b[ib]
 
 
 def test_tkp_associative():
@@ -116,6 +113,8 @@ def test_kron_chain_edges():
         kron_chain([])
     with pytest.raises(DimensionError):
         kron_chain([a, np.zeros(2)])
+    with pytest.raises(DimensionError):
+        kron_chain([np.ones((2, 1, 1, 2)), np.ones((1, 2, 2, 1))])
 
 
 def test_compose_coeff_sums_chains():

@@ -231,16 +231,24 @@ def _write_stack(root, dims, n, seed=0):
 @pytest.mark.parametrize("dims", [(7,), (3, 4), (2, 3, 4), (2, 2, 3, 2)])
 @pytest.mark.parametrize("n", [1, 5])
 def test_read_dkt_stack_matches_stacking_read_dkt(tmp_path, dims, n):
-    """The oracle is the per-file read followed by np.stack: same values,
-    dtype, shape and strides (so the same memory order downstream)."""
+    """The oracle reads each file's payload on its own, ``np.frombuffer``
+    after the header, unvecs it and stacks the tensors.  The stack and the
+    stacked ``read_dkt`` results match it in values, dtype, shape and
+    strides (so the same memory order downstream)."""
     paths = _write_stack(tmp_path, dims, n, seed=len(dims))
-    want = np.stack([read_dkt(p) for p in paths])
-    got = read_dkt_stack(paths)
-    assert got.dtype == want.dtype == np.float64
-    assert got.shape == want.shape
-    assert got.strides == want.strides
-    assert np.array_equal(got, want)
-    assert got.flags.writeable
+    header = 5 + 8 * len(dims)
+    tensors = [unvec(np.frombuffer(p.read_bytes(), dtype="<f8", offset=header), dims) for p in paths]
+    want = np.stack(tensors)
+    for got in (read_dkt_stack(paths), np.stack([read_dkt(p) for p in paths])):
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.strides == want.strides
+        assert np.array_equal(got, want)
+        assert got.flags.writeable
+    for p, t in zip(paths, tensors):
+        got = read_dkt(p)
+        assert got.strides == t.strides
+        assert np.array_equal(got, t)
 
 
 def test_read_dkt_stack_names_each_malformed_file(tmp_path, malformed_dkt):
