@@ -36,8 +36,9 @@ each half carries its result up the sweep as in ``conv_chain_eval``,
 |B_l| times smaller at every layer.  So every sweep makes two passes over the stack, each
 one matmul for all R terms, and its objective comes from the layer-L design.
 ``build_design`` (so ``sweep_update``) and ``diagnostics.probe_tau0`` map
-canonical products into that order.  The response-weighted aggregate, prediction and the BIC
-sum over the images in their own memory order and build no stack.
+canonical products into that order.  The response-weighted aggregate and prediction
+sum over the images in their own memory order and build no stack; a fit's BIC
+comes from its last layer-L design.
 Pixels are checked by ``fit`` only: elsewhere a non-finite pixel passes
 through to its image's prediction or design row.
 """
@@ -665,9 +666,10 @@ def partial_products(model, l, side):
 
 
 def _split_beta(beta, structure, l):
-    m = structure.layer_size(l)
-    mat = unvec(beta, (m, structure.rank))
-    return [unvec(mat[:, r], structure.factor_dims[l - 1]) for r in range(structure.rank)]
+    """Every term's layer-l factor from a layer-l solution: term r's is the
+    r-th of its R equal blocks, as views."""
+    fd = structure.factor_dims[l - 1]
+    return [b.reshape(fd, order="F") for b in beta.reshape(structure.rank, -1)]
 
 
 def _stack_layer(factors, l):
@@ -681,13 +683,16 @@ def _solve_layer(family, design, y, ridge, beta0=None):
     (see :func:`glm.fit_glm`).  A rank-deficient solve under an explicit
     positive ``ridge`` is retried once with the default ridge.  Otherwise
     the error stands: ``ridge=None`` already solved with the default ridge,
-    and an explicit 0.0 asks for no penalty."""
+    and an explicit 0.0 asks for no penalty.  The solve is ``glm._solve``
+    without ``fit_glm``'s checks, which the callers make: :func:`fit` checks
+    the response once per fit and takes ``beta0`` from its own factors, and
+    :func:`sweep_update` checks its one solve's inputs."""
     try:
-        return glm.fit_glm(family, design, y, ridge=ridge, beta0=beta0)
+        return glm._solve(family, design, y, glm._ridge(design, ridge), beta0)[0]
     except RankDeficiencyError:
         if ridge is None or ridge == 0.0:
             raise
-        return glm.fit_glm(family, design, y, ridge=glm.default_ridge(design), beta0=beta0)
+        return glm._solve(family, design, y, glm._ridge(design, None), beta0)[0]
 
 
 def sweep_update(model, images, response, family=None, l=1, options=None, left=None):
@@ -707,7 +712,9 @@ def sweep_update(model, images, response, family=None, l=1, options=None, left=N
     right = partial_products(model, l - 1, "right")
     design = build_design(images, structure, l, left, right)
     y = family.validate_response(response)
-    beta = _solve_layer(family, design, y, options.ridge, _stack_layer(model.factors, l))
+    beta0 = _stack_layer(model.factors, l)
+    glm._check(design, y, beta0)
+    beta = _solve_layer(family, design, y, options.ridge, beta0)
     new_factors = copy.deepcopy(model.factors)
     for r, f in enumerate(_split_beta(beta, structure, l)):
         new_factors[r][l - 1] = f
@@ -746,7 +753,10 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     products from the previous sweep and lower products already refreshed
     this sweep; after layer L the upper products are recomposed from the
     new factors.  Stops when the objective's relative change drops below
-    ``options.tol`` or after ``options.max_sweeps`` sweeps.  A partial
+    ``options.tol`` or after ``options.max_sweeps`` sweeps.  The report's
+    BIC is :func:`bic` of the model, to rounding, but taken from the last
+    sweep's linear predictor, the layer-L design times its solution: no
+    pass over the images is made for it.  A partial
     product whose norm falls below ``COLLAPSE_TOL`` is reseeded and logged
     in ``report.collapse_events``: an upper one for its layer's solve only,
     a lower one (layers 1..l-1) by unit random factors that replace that
@@ -756,20 +766,23 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     return _fit(images, response, structure, family, options, padded_from)
 
 
-def _fit(images, response, structure, family, options, padded_from, start=None):
+def _fit(images, response, structure, family, options, padded_from, start=None, vec_x=None):
     """:func:`fit`, started from the factor chains ``start`` (one per term)
     instead of spectral seeds when given.  Every upper product is then a
     chain, so sweep 1 splits at ``_split_layer`` and warm-starts its layer
     solves from the start's factors like later sweeps; a collapsed upper
     product is reseeded by a random unit vector, as no spectral pool is
-    formed, and ``report.init_left_products`` stays None.  Without
-    ``start`` this is :func:`fit`."""
+    formed, and ``report.init_left_products`` stays None.  ``vec_x`` is
+    the images' solver stack (:func:`_vectorize_images`) when the caller
+    has built it already.  Without ``start`` and ``vec_x`` this is
+    :func:`fit`."""
     t0 = time.perf_counter()
     options = options or FitOptions()
     family = glm.get_family(family)
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     images = _image_stack(images, structure, padded_from)[0]  # one array, read twice
-    vec_x = _vectorize_images(images, structure, padded_from=padded_from)
+    if vec_x is None:
+        vec_x = _vectorize_images(images, structure, padded_from=padded_from)
     y_raw = family.validate_response(response)
     if y_raw.shape != (vec_x.shape[1],):
         raise DimensionError(
@@ -881,7 +894,8 @@ def _fit(images, response, structure, family, options, padded_from, start=None):
 
         # The layer-L design is the stack contracted against every lower
         # product, so design @ beta is the coefficient's linear predictor.
-        obj = glm.nll_eta(family, design @ beta, y)
+        eta = design @ beta
+        obj = glm.nll_eta(family, eta, y)
         report.objective_trace.append(obj)
         if truth_vec is not None:
             report.dist_trace.append(dist(vec(compose_coeff(factors)), truth_vec))
@@ -908,7 +922,9 @@ def _fit(images, response, structure, family, options, padded_from, start=None):
     except DegenerateDataError:
         pass  # an exactly-zero factor: keep the raw fit rather than fail late
     report.intercept = intercept
-    report.bic = bic(model, images, y_raw)
+    # :func:`bic` of the model, from the last sweep's linear predictor.
+    nll = glm.nll_eta(family, eta + intercept, y_raw)
+    report.bic = 2.0 * nll + structure.param_count * math.log(y_raw.shape[0])
     report.wall_time_s = time.perf_counter() - t0
     return model, report
 
@@ -993,18 +1009,21 @@ def scan_rank(images, response, structure, ranks, family="gaussian", options=Non
     fit's score aggregate.  So its first solve can keep the previous fit's
     linear predictor, and its final objective is no higher than that
     fit's, up to the ridge penalty of its solves.  A cold fit of any rank
-    is one :func:`fit` call.
+    is one :func:`fit` call.  The images are copied into one solver stack,
+    which every rank's fit reads.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     ranks = sorted({int(r) for r in ranks})
     if not ranks:
         raise DimensionError("need at least one candidate rank")
+    images = _image_stack(images, structure, padded_from)[0]
+    vec_x = _vectorize_images(images, structure, padded_from=padded_from)
     reports, bics = {}, {}
     best = model = None
     for r in ranks:
         s = replace(structure, rank=r)
         start = None if model is None else _rank_start(model, images, response, s)
-        model, rep = _fit(images, response, s, family, options, padded_from, start)
+        model, rep = _fit(images, response, s, family, options, padded_from, start, vec_x)
         reports[r] = rep
         bics[r] = rep.bic
         if best is None or rep.bic < bics[best[0]]:

@@ -17,9 +17,17 @@ exactly, as ``np.logaddexp(0, eta)``, which cannot overflow; only its mean
 clamps eta to [-30, 30] before exponentiation, where the sigmoid is flat
 to double precision anyway.  So the nll that IRLS step halving tests keeps
 falling with |eta| beyond the clamp, as its gradient does.
-"""
 
-from dataclasses import dataclass
+Both solves run in one private core, ``_solve``, which checks nothing.
+``fit_glm`` checks its inputs on every call; the alternating sweep
+(``dkn_fit._solve_layer``) calls the core directly, as its fit has checked
+the response once and takes each warm start from its own factors.  IRLS
+sums its objective elementwise, sum(psi(eta) - y*eta), never as
+sum(psi(eta)) - y @ eta: near separation |eta| runs to 40 and more, where
+both sums are about n*|eta| while their difference, the objective, is near
+zero, so the difference of the sums is rounding noise, and step halving
+compares such values.
+"""
 
 import numpy as np
 
@@ -164,6 +172,34 @@ def _solve_spd(a, rhs, context):
     return np.linalg.solve(a, rhs)
 
 
+def _check(design, y, beta0):
+    """Raise a DimensionError unless ``design`` is a matrix with one row per
+    entry of the response ``y`` and ``beta0`` is None or one finite entry
+    per column."""
+    if design.ndim != 2:
+        raise DimensionError(f"design must be a matrix, got order {design.ndim}")
+    if y.shape != (design.shape[0],):
+        raise DimensionError(
+            f"response length {y.shape} does not match {design.shape[0]} design rows"
+        )
+    m = design.shape[1]
+    if beta0 is not None:
+        if beta0.shape != (m,):
+            raise DimensionError(f"beta0 has shape {beta0.shape}, expected ({m},) for {m} columns")
+        bad = np.flatnonzero(~np.isfinite(beta0))
+        if bad.size:
+            raise DimensionError(f"beta0 entry {bad[0]} is not finite")
+
+
+def _ridge(design, ridge):
+    """The penalty of one solve: ``ridge``, or :func:`default_ridge` of the
+    design when None; finite and nonnegative."""
+    lam = default_ridge(design) if ridge is None else float(ridge)
+    if not 0 <= lam < np.inf:
+        raise DimensionError(f"ridge must be finite and nonnegative, got {lam}")
+    return lam
+
+
 def fit_glm(family, design, y, ridge=None, return_info=False, beta0=None):
     """Minimize nll(beta) + ridge/2 * |beta|^2 for one design matrix.
 
@@ -191,57 +227,69 @@ def fit_glm(family, design, y, ridge=None, return_info=False, beta0=None):
     """
     family = get_family(family)
     design = np.asarray(design, dtype=np.float64)
-    if design.ndim != 2:
-        raise DimensionError(f"design must be a matrix, got order {design.ndim}")
     y = family.validate_response(y)
-    if y.shape != (design.shape[0],):
-        raise DimensionError(
-            f"response length {y.shape} does not match {design.shape[0]} design rows"
-        )
-    lam = default_ridge(design) if ridge is None else float(ridge)
-    if not 0 <= lam < np.inf:
-        raise DimensionError(f"ridge must be finite and nonnegative, got {lam}")
-
-    m = design.shape[1]
-    if beta0 is not None:
-        beta0 = np.asarray(beta0, dtype=np.float64)
-        if beta0.shape != (m,):
-            raise DimensionError(f"beta0 has shape {beta0.shape}, expected ({m},) for {m} columns")
-        bad = np.flatnonzero(~np.isfinite(beta0))
-        if bad.size:
-            raise DimensionError(f"beta0 entry {bad[0]} is not finite")
-    eye = np.eye(m)
-
-    if family.name == "gaussian":
-        gram = design.T @ design + lam * eye
-        beta = _solve_spd(gram, design.T @ y, "gaussian solve")
-        if return_info:
-            obj = nll(family, design, beta, y) + 0.5 * lam * float(beta @ beta)
-            return beta, {"iterations": 1, "objective_trace": [obj], "converged": True}
+    beta0 = None if beta0 is None else np.asarray(beta0, dtype=np.float64)
+    _check(design, y, beta0)
+    lam = _ridge(design, ridge)
+    beta, trace = _solve(family, design, y, lam, beta0)
+    if not return_info:
         return beta
+    if trace is None:  # the gaussian closed form: one step, whose objective is computed here
+        obj = nll(family, design, beta, y) + 0.5 * lam * float(beta @ beta)
+        return beta, {"iterations": 1, "objective_trace": [obj], "converged": True}
+    return beta, {"iterations": len(trace) - 1, "objective_trace": trace, "converged": True}
 
-    # IRLS for bernoulli; y was validated above, so the loop skips the check.
-    def penalized(b):
-        """The penalized objective at b, and its linear predictor."""
-        eta = design @ b
-        return _nll(family, eta, y) + 0.5 * lam * float(b @ b), eta
 
-    beta = np.zeros(m)
-    obj, eta = penalized(beta)
+def _solve(family, design, y, lam, beta0):
+    """The solve of :func:`fit_glm` at checked inputs: a float64 ``design``
+    matrix, a valid response with one entry per row, the penalty ``lam``
+    and ``beta0`` (None, or one finite entry per column).  Returns beta and
+    the IRLS objective trace, None for the gaussian closed form.
+
+    IRLS makes the same operations as the plain expressions
+    (``family.mean``, ``design.T @ (design * w) + lam * I`` and
+    sum(psi(eta) - y*eta)) in the same order, so it gives their bits; it
+    only writes into buffers of the solve and adds the ridge to the
+    Hessian's diagonal alone.  The objective at zero is n copies of log 2
+    summed, with no pass over the design."""
+    n, m = design.shape
+    if family.name == "gaussian":
+        gram = design.T @ design
+        gram.reshape(-1)[:: m + 1] += lam
+        return _solve_spd(gram, design.T @ y, "gaussian solve"), None
+
+    psi, ye = np.empty(n), np.empty(n)
+
+    def penalized(eta, b):
+        """The penalized objective at b, whose linear predictor is eta."""
+        np.subtract(np.logaddexp(0.0, eta, out=psi), np.multiply(y, eta, out=ye), out=psi)
+        return float(psi.sum()) + 0.5 * lam * float(b @ b)
+
+    beta, eta = np.zeros(m), np.zeros(n)
+    obj = float(np.full(n, np.logaddexp(0.0, 0.0)).sum())
     if beta0 is not None:
-        warm_obj, warm_eta = penalized(beta0)
+        warm_eta = design @ beta0
+        warm_obj = penalized(warm_eta, beta0)
         if warm_obj < obj:
             beta, obj, eta = beta0.copy(), warm_obj, warm_eta
     trace = [obj]
-    converged = False
-    for _ in range(IRLS_MAX_ITER):
-        mu = family.mean(eta)
-        grad = design.T @ (mu - y) + lam * beta
-        if np.max(np.abs(grad)) <= IRLS_GRAD_TOL * (1.0 + abs(obj)):
-            converged = True
-            break
-        w = mu * (1.0 - mu)  # the bernoulli variance psi''(eta), from the same mean
-        hess = design.T @ (design * w[:, None]) + lam * eye
+    mu, res, w, dw = np.empty(n), np.empty(n), np.empty(n), np.empty_like(design)
+    for it in range(IRLS_MAX_ITER + 1):
+        # family.mean(eta): z = eta clamped to [-ETA_CLAMP, ETA_CLAMP], then 1 / (1 + e^-z)
+        np.clip(eta, -ETA_CLAMP, ETA_CLAMP, out=mu)
+        np.exp(np.negative(mu, out=mu), out=mu)
+        mu += 1.0
+        np.divide(1.0, mu, out=mu)
+        grad = design.T @ np.subtract(mu, y, out=res)
+        grad += lam * beta
+        if np.abs(grad).max() <= IRLS_GRAD_TOL * (1.0 + abs(obj)):
+            return beta, trace
+        if it == IRLS_MAX_ITER:
+            raise ConvergenceError(f"IRLS did not converge in {IRLS_MAX_ITER} iterations", beta)
+        np.subtract(1.0, mu, out=w)
+        w *= mu  # the bernoulli variance psi''(eta), from the same mean
+        hess = design.T @ np.multiply(design, w[:, None], out=dw)
+        hess.reshape(-1)[:: m + 1] += lam
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
@@ -249,24 +297,14 @@ def fit_glm(family, design, y, ridge=None, return_info=False, beta0=None):
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
             cand = beta + alpha * step
-            cand_obj, cand_eta = penalized(cand)
+            cand_eta = design @ cand
+            cand_obj = penalized(cand_eta, cand)
             if cand_obj <= obj:
                 break
             alpha *= 0.5
         else:
-            # No descent along the Newton direction: accept convergence only
-            # if the gradient is already tiny, otherwise treat as failure.
+            # No descent along the Newton direction, at a gradient that is
+            # not yet tiny (it was tested above): a failure.
             raise ConvergenceError("IRLS: step halving failed to find descent", beta)
         beta, obj, eta = cand, cand_obj, cand_eta
         trace.append(obj)
-    else:
-        grad = design.T @ (family.mean(eta) - y) + lam * beta
-        if np.max(np.abs(grad)) <= IRLS_GRAD_TOL * (1.0 + abs(obj)):
-            converged = True
-        else:
-            raise ConvergenceError(
-                f"IRLS did not converge in {IRLS_MAX_ITER} iterations", beta
-            )
-    if return_info:
-        return beta, {"iterations": len(trace) - 1, "objective_trace": trace, "converged": converged}
-    return beta

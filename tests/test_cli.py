@@ -441,3 +441,21 @@ def test_installed_entry_point_runs():
     exe = shutil.which("dkn")
     if exe is not None:
         _assert_help_lists_subcommands([exe], env, registered)
+
+
+def test_fit_rank_scan_builds_one_stack(tmp_path, monkeypatch):
+    """``dkn fit --rank scan`` copies the images into one solver stack for
+    all the ranks it fits."""
+    from dkn import dkn_fit
+
+    imgdir, ycsv, _, _, _ = write_rank1_dataset(tmp_path, n=120, seed=14)
+    calls, build = [], dkn_fit._vectorize_images
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].rank)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dkn_fit, "_vectorize_images", counted)
+    assert main(["fit", "--images", imgdir, "--y", ycsv, "--out", str(tmp_path / "model"),
+                 "--rank", "scan", "--ranks", "1,2,3"]) == 0
+    assert calls == [1]

@@ -1070,31 +1070,32 @@ def test_scan_rank_accepts_a_dict_structure():
         assert all(np.array_equal(f, g) for f, g in zip(a, b))
 
 
-def _count_fit_glm(monkeypatch):
-    """Patch ``glm.fit_glm`` to record the ridge of every call."""
-    calls, solve = [], dkn_fit.glm.fit_glm
+def _count_solves(monkeypatch):
+    """Patch ``glm._solve``, the solve behind ``_solve_layer``, to record the
+    ridge of every call."""
+    calls, solve = [], dkn_fit.glm._solve
 
-    def spy(family, design, y, ridge=None, **kwargs):
-        calls.append(ridge)
-        return solve(family, design, y, ridge=ridge, **kwargs)
+    def spy(family, design, y, lam, beta0):
+        calls.append(lam)
+        return solve(family, design, y, lam, beta0)
 
-    monkeypatch.setattr(dkn_fit.glm, "fit_glm", spy)
+    monkeypatch.setattr(dkn_fit.glm, "_solve", spy)
     return calls
 
 
 def test_solve_layer_does_not_repeat_a_default_ridge_solve(monkeypatch):
     """With ``ridge=None`` the solve already used the default ridge (0.0
     on an all-zero design), so a rank-deficient one is not run again."""
-    calls = _count_fit_glm(monkeypatch)
+    calls = _count_solves(monkeypatch)
     with pytest.raises(RankDeficiencyError):
         dkn_fit._solve_layer(GAUSSIAN, np.zeros((4, 2)), np.arange(4.0), None)
-    assert calls == [None]
+    assert calls == [0.0]
 
 
 def test_solve_layer_retries_an_explicit_ridge_with_the_default(monkeypatch):
     design = np.full((4, 2), 1e8)  # two equal columns: the gram is singular
     y = np.arange(4.0)
-    calls = _count_fit_glm(monkeypatch)
+    calls = _count_solves(monkeypatch)
     beta = dkn_fit._solve_layer(GAUSSIAN, design, y, 1e-20)
     assert calls == [1e-20, default_ridge(design)]
     assert np.array_equal(beta, fit_glm(GAUSSIAN, design, y, ridge=default_ridge(design)))
@@ -1109,9 +1110,9 @@ def test_rank_start_seeds_one_term_per_added_rank(monkeypatch):
     images, y = scan_problem(43, 120, "gaussian")
     starts, run = {}, dkn_fit._fit
 
-    def spy(images, response, structure, family, options, padded_from, start=None):
+    def spy(images, response, structure, family, options, padded_from, start=None, vec_x=None):
         starts[structure.rank] = start
-        return run(images, response, structure, family, options, padded_from, start)
+        return run(images, response, structure, family, options, padded_from, start, vec_x)
 
     monkeypatch.setattr(dkn_fit, "_fit", spy)
     scan = scan_rank(images, y, S883, [1, 3])
@@ -1130,6 +1131,73 @@ def test_rank_start_seeds_one_term_per_added_rank(monkeypatch):
         assert_allclose(upper, np.sign(upper @ want) * want, atol=1e-12)
     with pytest.raises(DegenerateDataError, match="rank 5 requested"):  # as a cold fit is
         scan_rank(images, y, S883, [1, 5])
+
+
+def record_fits(mp):
+    """Patch ``dkn_fit._fit`` to keep every fit's (model, report), and
+    ``_inner_products`` to count the image passes it makes inside one."""
+    fits, inside, passes = [], [False], [0]
+    run, inner = dkn_fit._fit, dkn_fit._inner_products
+
+    def counted(*args, **kwargs):
+        passes[0] += inside[0]
+        return inner(*args, **kwargs)
+
+    def spy(*args, **kwargs):
+        inside[0] = True
+        try:
+            fits.append(run(*args, **kwargs))
+        finally:
+            inside[0] = False
+        return fits[-1]
+
+    mp.setattr(dkn_fit, "_inner_products", counted)
+    mp.setattr(dkn_fit, "_fit", spy)
+    return fits, passes
+
+
+@pytest.mark.parametrize("case", ["centered", "gaussian", "bernoulli", "padded", "max_sweeps", "scan"])
+def test_report_bic_is_the_public_bic_without_an_image_pass(case, monkeypatch):
+    """The BIC a fit reports comes from its last layer-L design, so the fit
+    makes no pass over the images for it; it is :func:`bic` of the fitted
+    model to rounding: with the intercept of a centered gaussian fit, for
+    unpadded images of a padded structure, for a fit that stops at
+    ``max_sweeps`` and for every rank of a scan, the started ones too."""
+    family = "gaussian" if case in ("centered", "gaussian") else "bernoulli"
+    images, y = scan_problem(45, 200, family)
+    structure, padded_from, options = replace(S883, rank=2), None, FitOptions()
+    if case == "centered":
+        y, options = y + 3.0, FitOptions(center_response=True)
+    elif case == "padded":
+        structure, padded_from = auto_structure((7, 6), rank=2)
+        images = images[:, :7, :6]
+    elif case == "max_sweeps":
+        options = FitOptions(max_sweeps=2, tol=0.0)
+    fits, passes = record_fits(monkeypatch)
+    if case == "scan":
+        scan_rank(images, y, S883, [1, 2, 3], family=family)
+    else:
+        fit(images, y, structure, family=family, options=options, padded_from=padded_from)
+    assert passes == [0] and len(fits) == (3 if case == "scan" else 1)
+    for model, report in fits:
+        assert report.bic == pytest.approx(bic(model, images, y), rel=1e-12)
+        assert (report.intercept != 0.0) == (case == "centered")
+        if case == "max_sweeps":
+            assert (report.sweeps, report.converged) == (2, False)
+
+
+def test_a_rank_scan_builds_one_stack(monkeypatch):
+    """Every rank of a scan reads the one solver stack the scan builds."""
+    images, y = scan_problem(46, 120, "bernoulli")
+    calls, build = [], dkn_fit._vectorize_images
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dkn_fit, "_vectorize_images", counted)
+    scan = scan_rank(images, y, S883, [1, 2, 3], family="bernoulli")
+    assert sorted(scan.reports) == [1, 2, 3] and calls == [S883]
 
 
 def test_chain_factors_recompose_an_exact_chain():

@@ -294,3 +294,143 @@ def test_gaussian_ignores_warm_start():
     got, info = fit_glm(GAUSSIAN, design, y, ridge=0.1, return_info=True, beta0=want + 1.0)
     assert np.array_equal(got, want)
     assert info == want_info
+
+
+def reference_irls(design, y, lam, beta0=None):
+    """The oracle for the solver core: ``fit_glm``'s IRLS loop as it was
+    written before it kept its buffers, one whole-array expression per step.
+    Returns beta and the objective trace, or raises as the loop did."""
+    family = BERNOULLI
+    eye = np.eye(design.shape[1])
+
+    def penalized(b):
+        eta = design @ b
+        return float(np.sum(family.psi(eta) - y * eta)) + 0.5 * lam * float(b @ b), eta
+
+    beta = np.zeros(design.shape[1])
+    obj, eta = penalized(beta)
+    if beta0 is not None:
+        warm_obj, warm_eta = penalized(beta0)
+        if warm_obj < obj:
+            beta, obj, eta = beta0.copy(), warm_obj, warm_eta
+    trace = [obj]
+    for _ in range(glm.IRLS_MAX_ITER):
+        mu = family.mean(eta)
+        grad = design.T @ (mu - y) + lam * beta
+        if np.max(np.abs(grad)) <= glm.IRLS_GRAD_TOL * (1.0 + abs(obj)):
+            return beta, trace
+        w = mu * (1.0 - mu)
+        hess = design.T @ (design * w[:, None]) + lam * eye
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            raise RankDeficiencyError("IRLS: singular weighted normal equations") from None
+        alpha = 1.0
+        for _ in range(glm.MAX_HALVINGS):
+            cand = beta + alpha * step
+            cand_obj, cand_eta = penalized(cand)
+            if cand_obj <= obj:
+                break
+            alpha *= 0.5
+        else:
+            raise ConvergenceError("IRLS: step halving failed to find descent", beta)
+        beta, obj, eta = cand, cand_obj, cand_eta
+        trace.append(obj)
+    grad = design.T @ (family.mean(eta) - y) + lam * beta
+    if np.max(np.abs(grad)) <= glm.IRLS_GRAD_TOL * (1.0 + abs(obj)):
+        return beta, trace
+    raise ConvergenceError(f"IRLS did not converge in {glm.IRLS_MAX_ITER} iterations", beta)
+
+
+def solve_outcome(solve):
+    """What a solve returns, as bytes, or the error it raises with its last
+    iterate: (beta, trace, iterations) or (type, message, last_iterate)."""
+    try:
+        beta, trace = solve()
+    except (ConvergenceError, RankDeficiencyError) as err:
+        last = getattr(err, "last_iterate", None)
+        return type(err), str(err), None if last is None else last.tobytes()
+    return beta.tobytes(), np.array(trace).tobytes(), len(trace) - 1
+
+
+def assert_bits_of_reference_irls(design, y, lam, beta0=None):
+    """``fit_glm`` and ``glm._solve`` give the oracle's beta, objective
+    trace and iteration count bit for bit, or raise its error at the same
+    last iterate; returns the oracle's outcome."""
+    want = solve_outcome(lambda: reference_irls(design, y, lam, beta0))
+
+    def public():
+        beta, info = fit_glm(BERNOULLI, design, y, ridge=lam, return_info=True, beta0=beta0)
+        assert info["iterations"] == len(info["objective_trace"]) - 1 and info["converged"]
+        return beta, info["objective_trace"]
+
+    assert solve_outcome(public) == want
+    assert solve_outcome(lambda: glm._solve(BERNOULLI, design, y, lam, beta0)) == want
+    return want
+
+
+def separable_data(rng, n):
+    """Two columns whose labels a margin separates: with a small ridge the
+    solution's |eta| runs past the mean's clamp at 30."""
+    design = rng.standard_normal((n, 2))
+    margin = design @ np.array([1.0, -0.5])
+    design[:, 0] += np.sign(margin)
+    return design, (margin > 0).astype(np.float64)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_irls_core_is_the_reference_loop_bit_for_bit(order, monkeypatch):
+    """Cold and warm starts (one worse than zero), a near-separable design
+    and an iteration cap of 1, for a row-major design and for a
+    column-major one such as the sweep's layer designs."""
+    rng = np.random.default_rng(19)
+    design, y = logistic_data(rng, n=300, m=6)
+    design = np.asarray(design, order=order)
+    lam = 1e-3
+    cold = assert_bits_of_reference_irls(design, y, lam)
+    beta = np.frombuffer(cold[0])
+    assert cold[2] > 2
+    warm = assert_bits_of_reference_irls(design, y, lam, beta + 0.05 * rng.standard_normal(6))
+    assert 0 < warm[2] < cold[2]
+    assert assert_bits_of_reference_irls(design, y, lam, -10.0 * beta) == cold
+
+    design, y = separable_data(rng, 200)
+    design = np.asarray(design, order=order)
+    sep = assert_bits_of_reference_irls(design, y, 1e-10)
+    assert np.median(np.abs(design @ np.frombuffer(sep[0]))) > 30.0
+
+    monkeypatch.setattr(glm, "IRLS_MAX_ITER", 1)
+    design, y = logistic_data(rng, n=80, m=4)
+    design = np.asarray(design, order=order)
+    capped = assert_bits_of_reference_irls(design, y, 1e-6)
+    assert capped[:2] == (ConvergenceError, "IRLS did not converge in 1 iterations")
+
+
+def test_irls_core_fails_as_the_reference_loop():
+    """A design of entries near 1e11 leaves no descent along the Newton
+    step, and one near 1e10 none within 100 iterations: both errors and
+    their last iterates are the oracle's."""
+    rng = np.random.default_rng(0)
+    design = 1e11 * rng.standard_normal((5, 4))
+    y = (rng.random(5) < 0.5) * 1.0
+    got = assert_bits_of_reference_irls(design, y, 1e-12)
+    assert got[:2] == (ConvergenceError, "IRLS: step halving failed to find descent")
+    rng = np.random.default_rng(0)
+    design = 1e10 * rng.standard_normal((30, 3))
+    y = (rng.random(30) < 0.5) * 1.0
+    got = assert_bits_of_reference_irls(design, y, 1e-12)
+    assert got[:2] == (ConvergenceError, "IRLS did not converge in 100 iterations")
+
+
+def test_irls_objective_is_summed_elementwise_past_the_clamp():
+    """At |eta| near 40 the objective of a near-separable fit is about 1e-8,
+    while sum(psi) and y @ eta are each about 2e4: so the objective IRLS
+    reports is sum(psi(eta) - y * eta), bit for bit, and not the difference
+    of those two sums, which cancel to within their rounding."""
+    rng = np.random.default_rng(20)
+    design, y = separable_data(rng, 1000)
+    lam = 1e-10
+    beta, info = fit_glm(BERNOULLI, design, y, ridge=lam, return_info=True)
+    eta = design @ beta
+    assert 30.0 < np.median(np.abs(eta)) < 50.0 and np.min(np.abs(eta)) > 15.0
+    assert info["objective_trace"][-1] == nll(BERNOULLI, design, beta, y) + 0.5 * lam * float(beta @ beta)
