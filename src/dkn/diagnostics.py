@@ -36,7 +36,6 @@ from .dkn_fit import (
     _digits,
     _image_stack,
     _inner_products,
-    _lower_product,
     _sign_fix,
     _vectorize_images,
     _weighted_sum,
@@ -63,7 +62,12 @@ __all__ = [
 ]
 
 
-_PROBE_BLOCK = 10  # divides the default 50 probes, so those draw no spare ones
+# Probes per image pass.  It divides the default 50 probes, so those draw
+# no spare ones.  It is fixed rather than sized from ``n_probes``: a GEMM
+# column's bits can depend on the GEMM's width (at small extents, and a
+# one-column product goes to gemv), so a fixed width is what keeps each
+# probe's ratio the same whatever ``n_probes`` is.
+_PROBE_BLOCK = 25
 
 
 def coeff_distance(a, b):
@@ -98,10 +102,13 @@ def probe_rip(images, structure, n_probes=50, seed=0):
     delta_hat is the worst deviation seen; it can only grow as probes are
     added, and probe j is reproducible on its own from (seed, j).
 
-    Probes are contracted with the images ``_PROBE_BLOCK`` at a time, one
-    pass over the images per block.  The last block is filled with the
-    following probes, drawn from their own streams and then dropped, so
-    every probe is computed in the same block whatever ``n_probes`` is.
+    Probes are contracted with the images ``_PROBE_BLOCK`` (25) at a time,
+    one pass over the images per block.  A part-filled last block is
+    filled with the following probes, drawn from their own streams and then
+    dropped, so every probe is computed in a block of the same width
+    whatever ``n_probes`` is, and its ratio has the same bits.  A block's
+    chains are composed together, layer by layer, multiplying the same
+    entries in the same order as :func:`_lower_product`.
     Pixels are not checked: a non-finite pixel makes every ratio, and so
     ``delta_hat``, non-finite.
     """
@@ -120,12 +127,16 @@ def probe_rip(images, structure, n_probes=50, seed=0):
             _random_chains(structure, rng.stream(seed, rng.PURPOSE_PROBE, j), 2)
             for j in range(j0, j0 + _PROBE_BLOCK)
         ]
-        # Each probe's chains in layer-digit order, then all of them
-        # scattered to canonical order at once: one column per probe.
+        # All of the block's chains folded at once in layer-digit order, one
+        # row per chain; each probe's two rows summed, then scattered to
+        # canonical order at once: one column per probe.
+        chains = [c for probe in block for c in probe]
+        acc = np.stack([vec(c[0]) for c in chains])
+        for l in range(1, L):
+            f = np.stack([vec(c[l]) for c in chains])
+            acc = (acc[:, :, None] * f[:, None, :]).reshape(len(chains), -1)
         coeffs = np.empty((structure.n_voxels, _PROBE_BLOCK))
-        coeffs[canonical] = np.stack(
-            [_lower_product(c[0], L) + _lower_product(c[1], L) for c in block], axis=-1
-        )
+        coeffs[canonical] = (acc[0::2] + acc[1::2]).T
         etas = _inner_products(x, coeffs.reshape(structure.dims3 + (-1,), order="F"), structure)
         for b in range(min(_PROBE_BLOCK, n_probes - j0)):
             c2 = float(np.sum(coeffs[:, b] * coeffs[:, b]))
