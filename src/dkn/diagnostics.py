@@ -36,6 +36,7 @@ from .dkn_fit import (
     _digits,
     _image_stack,
     _inner_products,
+    _lower_product,
     _sign_fix,
     _vectorize_images,
     _weighted_sum,
@@ -106,9 +107,7 @@ def probe_rip(images, structure, n_probes=50, seed=0):
     one pass over the images per block.  A part-filled last block is
     filled with the following probes, drawn from their own streams and then
     dropped, so every probe is computed in a block of the same width
-    whatever ``n_probes`` is, and its ratio has the same bits.  A block's
-    chains are composed together, layer by layer, multiplying the same
-    entries in the same order as :func:`_lower_product`.
+    whatever ``n_probes`` is, and its ratio has the same bits.
     Pixels are not checked: a non-finite pixel makes every ratio, and so
     ``delta_hat``, non-finite.
     """
@@ -127,16 +126,12 @@ def probe_rip(images, structure, n_probes=50, seed=0):
             _random_chains(structure, rng.stream(seed, rng.PURPOSE_PROBE, j), 2)
             for j in range(j0, j0 + _PROBE_BLOCK)
         ]
-        # All of the block's chains folded at once in layer-digit order, one
-        # row per chain; each probe's two rows summed, then scattered to
-        # canonical order at once: one column per probe.
-        chains = [c for probe in block for c in probe]
-        acc = np.stack([vec(c[0]) for c in chains])
-        for l in range(1, L):
-            f = np.stack([vec(c[l]) for c in chains])
-            acc = (acc[:, :, None] * f[:, None, :]).reshape(len(chains), -1)
+        # Each probe's chains in layer-digit order, then all of them
+        # scattered to canonical order at once: one column per probe.
         coeffs = np.empty((structure.n_voxels, _PROBE_BLOCK))
-        coeffs[canonical] = (acc[0::2] + acc[1::2]).T
+        coeffs[canonical] = np.stack(
+            [_lower_product(c[0], L) + _lower_product(c[1], L) for c in block], axis=-1
+        )
         etas = _inner_products(x, coeffs.reshape(structure.dims3 + (-1,), order="F"), structure)
         for b in range(min(_PROBE_BLOCK, n_probes - j0)):
             c2 = float(np.sum(coeffs[:, b] * coeffs[:, b]))

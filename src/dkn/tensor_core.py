@@ -186,31 +186,25 @@ def read_dkt_stack(paths):
     """Read DKT1 files of equal extents into one ``(n, *dims)`` float64 array.
 
     The array is allocated once, from the first file's header, and each
-    file's entries are read unbuffered straight into their own row: one
-    copy per file, no read buffer and no per-file tensor.  In memory each
-    image is column-major, the images one after another.  Each file's
-    header and length are checked before its entries are read, and a file
-    whose extents differ from the first file's is refused, naming both.
-    A row is read until it is full or the file ends, since an unbuffered
-    read may return fewer bytes than asked for.
+    file's entries are read straight into their own row: one copy per file
+    and no per-file tensor.  In memory each image is column-major, the
+    images one after another.  Each file's header and length are checked
+    before its entries are read, and a file whose extents differ from the
+    first file's is refused, naming both.
     """
     paths = list(paths)
     if not paths:
         raise DimensionError("need at least one DKT1 file")
     rows = None
     for i, path in enumerate(paths):
-        with open(path, "rb", buffering=0) as fh:
+        with open(path, "rb") as fh:
             dims = _read_header(fh, path)
             if rows is None:
                 first, shape = path, dims
                 rows = np.empty((len(paths), math.prod(dims)), dtype="<f8")
             elif dims != shape:
                 raise DataFormatError(f"{path}: extents {dims} differ from {shape} in {first}")
-            row = memoryview(rows[i]).cast("B")
-            got = 0
-            while got < len(row) and (k := fh.readinto(row[got:])):
-                got += k
-            if got != len(row):
+            if fh.readinto(rows[i]) != rows[i].nbytes:
                 raise DataFormatError(f"{path}: file shrank while it was read")
     # Row i holds image i's vec; reversing its axes views it column-major.
     k = len(shape)

@@ -27,8 +27,6 @@ from dkn.dkn_fit import (
     DknStructure,
     FitOptions,
     FitReport,
-    _digits,
-    _lower_product,
     auto_structure,
     build_design,
     fit,
@@ -428,19 +426,6 @@ def _column_major(images):
     return rows.transpose(0, *range(k, 0, -1))
 
 
-def _spy_inner_products(monkeypatch):
-    """Record the coefficient block of every image pass ``probe_rip`` makes."""
-    seen = []
-    real = diagnostics._inner_products
-
-    def spy(images, coeff, structure, *args, **kwargs):
-        seen.append(np.array(coeff))
-        return real(images, coeff, structure, *args, **kwargs)
-
-    monkeypatch.setattr(diagnostics, "_inner_products", spy)
-    return seen
-
-
 def test_probe_rip_counts_are_prefixes_of_a_longer_run():
     """Probe counts that fill one, two or three blocks exactly, or leave the
     last one part-filled, give the first ratios of a 60-probe run bit for
@@ -464,46 +449,17 @@ def test_probe_rip_counts_are_prefixes_of_a_longer_run():
 
 @pytest.mark.parametrize("n_probes, passes", [(1, 1), (20, 1), (25, 1), (26, 2), (50, 2)])
 def test_probe_rip_reads_the_images_once_per_25_probes(monkeypatch, n_probes, passes):
-    seen = _spy_inner_products(monkeypatch)
+    shapes = []
+    real = diagnostics._inner_products
+
+    def spy(images, coeff, structure, *args, **kwargs):
+        shapes.append(coeff.shape)
+        return real(images, coeff, structure, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "_inner_products", spy)
     images = rng.stream(29, rng.PURPOSE_IMAGES, 0).standard_normal((30, 8, 8))
     probe_rip(images, S883, n_probes=n_probes, seed=2)
-    assert len(seen) == passes
-    assert all(c.shape == S883.dims3 + (25,) for c in seen)
-
-
-@pytest.mark.parametrize("dims, factor_dims", [
-    ((20,), None),
-    ((8, 8), [(2, 2), (2, 2), (2, 2)]),
-    ((4, 6, 8), [(2, 1, 2), (1, 3, 2), (2, 2, 2)]),
-    ((10, 12), None),
-])
-def test_probe_rip_block_fold_is_the_per_probe_composition(monkeypatch, dims, factor_dims):
-    """The block's batched fold gives the same bytes as composing each
-    probe's two chains with ``_lower_product`` and scattering them to
-    canonical order, on 1-D, 2-D, 3-D and padded structures."""
-    if factor_dims is None:
-        structure, padded_from = auto_structure(dims)
-    else:
-        structure, padded_from = DknStructure(dims, factor_dims), None
-    images = rng.stream(30, rng.PURPOSE_IMAGES, 0).standard_normal((20,) + dims)
-    if padded_from is not None:
-        images = pad_images(images, padded_from, structure.image_dims)
-    seen = _spy_inner_products(monkeypatch)
-    probe_rip(images, structure, n_probes=40, seed=13)
-    L = structure.depth
-    assert len(seen) == 2
-    for j0, got in zip((0, 25), seen):
-        block = []
-        for j in range(j0, j0 + 25):
-            p = rng.stream(13, rng.PURPOSE_PROBE, j)
-            block.append([[p.standard_normal(fd) for fd in structure.factor_dims] for _ in range(2)])
-        want = np.empty((structure.n_voxels, 25))
-        want[_digits(structure, 1, L)] = np.stack(
-            [_lower_product(c[0], L) + _lower_product(c[1], L) for c in block], axis=-1
-        )
-        want = want.reshape(structure.dims3 + (-1,), order="F")
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    assert shapes == [S883.dims3 + (25,)] * passes
 
 
 def test_probe_rip_makes_no_image_sized_copy():

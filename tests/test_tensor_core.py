@@ -1,4 +1,3 @@
-import io
 import re
 
 import numpy as np
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dkn import tensor_core
 from dkn.errors import DataFormatError, DegenerateDataError, DimensionError
 from dkn.tensor_core import (
     as_tensor,
@@ -261,58 +259,6 @@ def test_read_dkt_stack_names_each_malformed_file(tmp_path, malformed_dkt):
         for at in (0, 2, 4):
             with pytest.raises(DataFormatError, match=name):
                 read_dkt_stack(paths[:at] + [bad] + paths[at:])
-
-
-class _ShortReads:
-    """An unbuffered file whose ``readinto`` returns at most ``chunk`` bytes
-    per call, and reports end of file once ``stop`` payload bytes are read."""
-
-    def __init__(self, path, chunk, stop=None):
-        self.fh = io.open(path, "rb", buffering=0)
-        self.chunk, self.left = chunk, stop
-
-    def read(self, n):
-        return self.fh.read(n)
-
-    def readinto(self, b):
-        n = self.chunk if self.left is None else min(self.chunk, self.left)
-        k = self.fh.readinto(memoryview(b)[:n])
-        if self.left is not None:
-            self.left -= k
-        return k
-
-    def fileno(self):
-        return self.fh.fileno()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-
-def test_read_dkt_stack_reads_unbuffered_through_short_reads(tmp_path, monkeypatch):
-    """Each file is opened unbuffered; a read that returns part of a row is
-    continued, and a file that ends before its row is full is refused."""
-    paths = _write_stack(tmp_path, (3, 5), 4)
-    want = read_dkt_stack(paths)
-    modes = []
-
-    def short_open(path, mode="r", buffering=-1, stop=None):
-        modes.append((mode, buffering))
-        return _ShortReads(path, chunk=7, stop=stop)
-
-    monkeypatch.setattr(tensor_core, "open", short_open, raising=False)
-    got = read_dkt_stack(paths)
-    assert modes == [("rb", 0)] * 4
-    assert got.strides == want.strides
-    assert got.tobytes() == want.tobytes()
-    monkeypatch.setattr(
-        tensor_core, "open", lambda path, mode, buffering: short_open(path, mode, buffering, 100),
-        raising=False,
-    )
-    with pytest.raises(DataFormatError, match=r"img_0\.dkt: file shrank"):
-        read_dkt_stack(paths)
 
 
 def test_read_dkt_stack_refuses_mixed_extents_naming_both_files(tmp_path):
