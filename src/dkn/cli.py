@@ -1,10 +1,10 @@
 """The ``dkn`` command line: simulate, fit, predict, scan-rank, diagnose.
 
 All outputs are deterministic functions of the inputs and the seed: JSON
-reports are written with sorted keys and no timing fields, tensors go
-through the DKT1 byte format, and CSV floats use shortest round-trip
-formatting.  Repeating a command with identical inputs reproduces every
-output byte for byte.
+reports are strict JSON (non-finite floats written as null) with sorted
+keys and no timing fields, tensors go through the DKT1 byte format, and
+CSV floats use shortest round-trip formatting.  Repeating a command with
+identical inputs reproduces every output byte for byte.
 
 Exit codes: 0 on success, 2 on validation errors (bad arguments, malformed
 files, mismatched extents), 3 on solver failures (singular systems, a layer
@@ -68,9 +68,14 @@ _SOLVER_ERRORS = (RankDeficiencyError, ConvergenceError, DegenerateDataError)
 
 
 def _write_json(path, payload):
+    """Write ``payload`` to ``path``, or to standard output when ``path`` is
+    None, as strict JSON with sorted keys: a non-finite float becomes null."""
+    text = json.dumps(_sanitize(payload), indent=2, sort_keys=True, allow_nan=False)
+    if path is None:
+        print(text)
+        return
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -348,12 +353,7 @@ def _identity_suites(instances, seed):
 
 def cmd_check_equivalence(args):
     report = _identity_suites(args.instances, args.seed)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(args.out, report)
     if not report["passed"]:
         print("check-equivalence: FAILED", file=sys.stderr)
         return EXIT_SOLVER
@@ -439,13 +439,9 @@ def _sanitize(obj):
 
 
 def _emit_diagnose(args, result):
-    text = json.dumps(_sanitize(result), indent=2, sort_keys=True)
+    _write_json(args.out, result)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
         print(f"diagnose: report in {args.out}")
-    else:
-        print(text)
 
 
 def _add_fit_arguments(p):

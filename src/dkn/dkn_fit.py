@@ -34,7 +34,8 @@ contracted against every term's upper product of layers m+1..L, and after
 layer m's solve against every term's new lower product of layers 1..m;
 each half carries its result up the sweep as in ``conv_chain_eval``,
 |B_l| times smaller at every layer.  So every sweep makes two passes over the stack, each
-one matmul for all R terms, and its objective comes from the layer-L design.
+one matmul for all R terms, and its objective comes from the layer-L design.  Each
+``next`` of the private generator ``_sweeps`` runs one sweep; ``fit`` documents its reseeds.
 ``build_design`` (so ``sweep_update``) and ``diagnostics.probe_tau0`` map
 canonical products into that order.  The response-weighted aggregate and prediction
 sum over the images in their own memory order and build no stack; a fit's BIC
@@ -756,12 +757,14 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     ``options.tol`` or after ``options.max_sweeps`` sweeps.  The report's
     BIC is :func:`bic` of the model, to rounding, but taken from the last
     sweep's linear predictor, the layer-L design times its solution: no
-    pass over the images is made for it.  A partial
-    product whose norm falls below ``COLLAPSE_TOL`` is reseeded and logged
-    in ``report.collapse_events``: an upper one for its layer's solve only,
-    a lower one (layers 1..l-1) by unit random factors that replace that
-    term's factors of those layers, so every recorded objective is the nll
-    of the factors the fit holds at the end of its sweep.
+    pass over the images is made for it.  Each sweep is one ``next`` of the
+    private generator ``_sweeps``.  A partial product whose norm (for a
+    lower one, its factors' norm product) falls below ``COLLAPSE_TOL`` is
+    reseeded and logged in ``report.collapse_events``, event k drawing
+    reseed stream k: an upper one for its layer's solve only, a lower one
+    (layers 1..l-1) by unit random factors that replace that term's factors
+    of those layers, so every recorded objective is the nll of the factors
+    the fit holds at the end of its sweep.
     """
     return _fit(images, response, structure, family, options, padded_from)
 
@@ -823,92 +826,23 @@ def _fit(images, response, structure, family, options, padded_from, start=None, 
         pools = {}
         factors = [list(chain) for chain in start]
         up = _upper_products(factors, [np.ones(1)] * R, L)
-    reseed_count = 0
-
-    def _reseed(side, l, r, t):
-        """Term r's collapsed product, reseeded in layer-digit order: its upper
-        product (layers l+1..L) by an unused spectral direction or a random
-        unit vector, or its lower product (layers 1..l-1) by the chain of
-        random unit factors, which are written into ``factors``."""
-        nonlocal reseed_count
-        event = {"sweep": t, "layer": l, "term": r + 1, "side": side, "source": "random"}
-        g = rng.stream(options.seed, rng.PURPOSE_RESEED, reseed_count)
-        reseed_count += 1
-        report.collapse_events.append(event)
-        if side == "right":
-            for k in range(l - 1):
-                f = g.standard_normal(structure.layer_size(k + 1))
-                factors[r][k] = unvec(f / np.linalg.norm(f), structure.factor_dims[k])
-            return _lower_product(factors[r], l - 1)
-        if pools.get(l + 1):
-            v = pools[l + 1].pop(0)
-            event["source"] = "svd_pool"
-        else:
-            v = g.standard_normal(int(np.prod(structure.factor_dims[l:])))
-            v /= np.linalg.norm(v)
-        return v[_digits(structure, l + 1, L)]
-
-    split = _split_layer(structure)
-    spectral = start is None  # whether this sweep's upper products are spectral seeds
-    prev_obj = None
-    for t in range(1, options.max_sweeps + 1):
-        collapsed = {
-            (l, r) for l in range(1, L + 1) for r in range(R)
-            if np.linalg.norm(up[l + 1][r]) < COLLAPSE_TOL
-        }
-        # The sweep reads the stack twice, split at layer m.  At layer 1,
-        # after its reseeds, it is contracted against every term's upper
-        # product of layers m+1..L (``base``), and layers 1..m carry their
-        # designs up from that against the upper products of layers l+1..m
-        # (``mid``).  After layer m's solve it is contracted against every
-        # term's new lower product of layers 1..m, and layers m+1..L carry
-        # theirs up from that.  Spectral seeds and reseeded upper products
-        # are not chains of factors, so such a sweep splits at m = 1.
-        m = 1 if spectral or collapsed else split
-        mid = _upper_products(factors, [np.ones(1)] * R, m)
-        lo_norm = [1.0] * R  # norms of the lower products in ``low``
-        for l in range(1, L + 1):
-            for r in range(R):
-                if (l, r) in collapsed:
-                    up[l + 1][r] = _reseed("left", l, r, t)
-                if l > 1 and lo_norm[r] < COLLAPSE_TOL:  # layer 1's lower product is 1
-                    lo = _reseed("right", l, r, t)
-                    low[r], lo_norm[r] = _contract_lower(base[r] if l <= m else vec_x, lo), 1.0
-            if l == 1:  # the stack's first pass: one matmul for every term
-                low = base = list(_upper_pass(vec_x, up[m + 1]))
-            design = _layer_design(low, mid[l + 1] if l <= m else up[l + 1])
-            beta0 = None if spectral else _stack_layer(factors, l)  # the held layer l
-            beta = _solve_layer(family, design, y, options.ridge, beta0)
-            layer = _split_beta(beta, structure, l)
-            for r, f in enumerate(layer):
-                factors[r][l - 1] = f
-                lo_norm[r] *= float(np.linalg.norm(f))
-            if l == m:  # the stack's second pass: one matmul for every term
-                lows = np.stack([_lower_product(chain, l) for chain in factors])
-                low = list(_contract_lower(vec_x, lows))
-            elif l < L:  # carry the chain up one layer
-                low = list(map(_contract_lower, low, [vec(f) for f in layer]))
-        # Downward pass: recompose the upper products from this sweep's factors.
-        up = _upper_products(factors, up[L + 1], L)
-        spectral = False
-
+    sweeps = _sweeps(vec_x, y, family, structure, options, factors, up, pools, report.collapse_events)
+    for t, (design, beta) in zip(range(1, options.max_sweeps + 1), sweeps):
         # The layer-L design is the stack contracted against every lower
         # product, so design @ beta is the coefficient's linear predictor.
         eta = design @ beta
-        obj = glm.nll_eta(family, eta, y)
-        report.objective_trace.append(obj)
+        report.objective_trace.append(glm.nll_eta(family, eta, y))
         if truth_vec is not None:
             report.dist_trace.append(dist(vec(compose_coeff(factors)), truth_vec))
         if options.trace_factors:
             report.snapshots.append(copy.deepcopy(factors))
         report.sweeps = t
-        if prev_obj is not None:
-            rel = abs(obj - prev_obj) / (1.0 + abs(prev_obj))
-            report.final_rel_change = rel
-            if rel < options.tol:
+        if t > 1:
+            prev, obj = report.objective_trace[-2:]
+            report.final_rel_change = abs(obj - prev) / (1.0 + abs(prev))
+            if report.final_rel_change < options.tol:
                 report.converged = True
                 break
-        prev_obj = obj
 
     model = DknModel(
         structure=structure,
@@ -927,6 +861,75 @@ def _fit(images, response, structure, family, options, padded_from, start=None, 
     report.bic = 2.0 * nll + structure.param_count * math.log(y_raw.shape[0])
     report.wall_time_s = time.perf_counter() - t0
     return model, report
+
+
+def _sweeps(vec_x, y, family, structure, options, factors, up, pools, events):
+    """:func:`_fit`'s sweeps on the stack ``vec_x``, one per ``next``: each
+    updates ``factors`` in place (all None before a cold fit's first sweep)
+    and yields its layer-L design and solution.  Reseeds draw from ``pools``
+    (unused spectral directions) and append to ``events``."""
+    L, R = structure.depth, structure.rank
+
+    def _reseed(side, l, r, t):
+        """Term r's collapsed product, reseeded in layer-digit order: its upper
+        product (layers l+1..L) by an unused spectral direction or a random
+        unit vector, or its lower product (layers 1..l-1) by the chain of
+        random unit factors, which are written into ``factors``."""
+        event = {"sweep": t, "layer": l, "term": r + 1, "side": side, "source": "random"}
+        g = rng.stream(options.seed, rng.PURPOSE_RESEED, len(events))  # event k, stream k
+        events.append(event)
+        if side == "right":
+            for k in range(l - 1):
+                f = g.standard_normal(structure.layer_size(k + 1))
+                factors[r][k] = unvec(f / np.linalg.norm(f), structure.factor_dims[k])
+            return _lower_product(factors[r], l - 1)
+        if pools.get(l + 1):
+            v = pools[l + 1].pop(0)
+            event["source"] = "svd_pool"
+        else:
+            v = g.standard_normal(int(np.prod(structure.factor_dims[l:])))
+            v /= np.linalg.norm(v)
+        return v[_digits(structure, l + 1, L)]
+
+    split = _split_layer(structure)
+    for t in itertools.count(1):
+        collapsed = {
+            (l, r) for l in range(1, L + 1) for r in range(R)
+            if np.linalg.norm(up[l + 1][r]) < COLLAPSE_TOL
+        }
+        # The sweep reads the stack twice, split at layer m.  At layer 1,
+        # after its reseeds, it is contracted against every term's upper
+        # product of layers m+1..L (``base``), and layers 1..m carry their
+        # designs up from that against the upper products of layers l+1..m
+        # (``mid``).  After layer m's solve it is contracted against every
+        # term's new lower product of layers 1..m, and layers m+1..L carry
+        # theirs up from that.  Spectral seeds and reseeded upper products
+        # are not chains of factors, so such a sweep splits at m = 1.
+        m = 1 if factors[0][0] is None or collapsed else split
+        mid = _upper_products(factors, [np.ones(1)] * R, m)
+        for l in range(1, L + 1):
+            for r in range(R):
+                if (l, r) in collapsed:
+                    up[l + 1][r] = _reseed("left", l, r, t)
+                # A chain's norm is its factors' norm product; layer 1's lower product is 1.
+                if l > 1 and math.prod(map(np.linalg.norm, factors[r][: l - 1])) < COLLAPSE_TOL:
+                    low[r] = _contract_lower(base[r] if l <= m else vec_x, _reseed("right", l, r, t))
+            if l == 1:  # the stack's first pass: one matmul for every term
+                low = base = list(_upper_pass(vec_x, up[m + 1]))
+            design = _layer_design(low, mid[l + 1] if l <= m else up[l + 1])
+            beta0 = None if factors[0][l - 1] is None else _stack_layer(factors, l)  # the held layer l
+            beta = _solve_layer(family, design, y, options.ridge, beta0)
+            layer = _split_beta(beta, structure, l)
+            for r, f in enumerate(layer):
+                factors[r][l - 1] = f
+            if l == m:  # the stack's second pass: one matmul for every term
+                lows = np.stack([_lower_product(chain, l) for chain in factors])
+                low = list(_contract_lower(vec_x, lows))
+            elif l < L:  # carry the chain up one layer
+                low = list(map(_contract_lower, low, [vec(f) for f in layer]))
+        # Downward pass: recompose the upper products from this sweep's factors.
+        up = _upper_products(factors, up[L + 1], L)
+        yield design, beta
 
 
 def normalize(model):

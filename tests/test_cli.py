@@ -177,6 +177,31 @@ def test_fit_reports_non_convergence_on_stderr_and_exits_0(tmp_path, capsys, com
     assert capsys.readouterr().err == ""
 
 
+def load_strict_json(path):
+    """A JSON file read the way strict parsers read it: NaN, Infinity and
+    -Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"{path}: non-finite constant {name}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", [["fit"], ["scan-rank", "--ranks", "1,2"]])
+def test_one_sweep_fit_writes_strict_json(tmp_path, command):
+    """A fit of one sweep has no relative change: its reports write
+    ``final_rel_change`` as null, not as the non-JSON Infinity."""
+    imgdir, ycsv, _, _, _ = write_rank1_dataset(tmp_path, n=120, seed=19)
+    out = tmp_path / "model"
+    assert main(command + ["--images", imgdir, "--y", ycsv, "--out", str(out),
+                           "--max-sweeps", "1"]) == 0
+    reports = [load_strict_json(out / "fit_report.json")]
+    if command[0] == "scan-rank":
+        reports += load_strict_json(out / "scan_report.json")["reports"].values()
+    assert len(reports) == (3 if command[0] == "scan-rank" else 1)
+    for rep in reports:
+        assert rep["sweeps"] == 1 and rep["final_rel_change"] is None
+
+
 def test_fit_reads_structure_file(tmp_path):
     imgdir, ycsv, _, _, _ = write_rank1_dataset(tmp_path, n=120, seed=17)
     spath = tmp_path / "structure.json"
