@@ -34,12 +34,12 @@ contracted against every term's upper product of layers m+1..L, and after
 layer m's solve against every term's new lower product of layers 1..m;
 each half carries its result up the sweep as in ``conv_chain_eval``,
 |B_l| times smaller at every layer.  So every sweep makes two passes over the stack, each
-one matmul for all R terms, and its objective comes from the layer-L design.  Each
-``next`` of the private generator ``_sweeps`` runs one sweep; ``fit`` documents its reseeds.
-``build_design`` (so ``sweep_update``) and ``diagnostics.probe_tau0`` map
-canonical products into that order.  The response-weighted aggregate and prediction
-sum over the images in their own memory order and build no stack; a fit's BIC
-comes from its last layer-L design.
+one matmul for all R terms, and its objective comes from the layer-L design.  ``_sweeps``
+runs one sweep per ``next``; collapse event k draws reseed stream k, and a lower product
+collapses when its factors' norm product falls below ``COLLAPSE_TOL``.  ``build_design``
+(so ``sweep_update``) and ``diagnostics.probe_tau0`` map canonical products into that
+order.  The response-weighted aggregate and prediction sum over the images in their own
+memory order and build no stack; a fit's BIC comes from its last layer-L design.
 Pixels are checked by ``fit`` only: elsewhere a non-finite pixel passes
 through to its image's prediction or design row.
 """
