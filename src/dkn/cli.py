@@ -352,6 +352,8 @@ def _identity_suites(instances, seed):
 
 
 def cmd_check_equivalence(args):
+    if args.instances < 1:
+        raise DimensionError(f"--instances must be >= 1, got {args.instances}")
     report = _identity_suites(args.instances, args.seed)
     _write_json(args.out, report)
     if not report["passed"]:
@@ -374,7 +376,6 @@ def cmd_diagnose(args):
     if model.padded_from is not None:
         images = pad_images(images, model.padded_from, structure.image_dims)
 
-    notes = []
     probe = probe_rip(images, structure, n_probes=args.probes, seed=args.seed)
     result = {
         "delta_hat": probe.delta_hat,
@@ -382,13 +383,24 @@ def cmd_diagnose(args):
         "condition_met": None,
         "decay_verdict": None,
         "identifiability": identifiability_check(model).to_dict(),
-        "notes": notes,
+        "notes": [],
     }
+    note = _diagnose_theory(args, model, images, y, probe.delta_hat, result)
+    if note is not None:
+        result["notes"].append(note)
+    _write_json(args.out, result)
+    if args.out:
+        print(f"diagnose: report in {args.out}")
+    return EXIT_OK
 
+
+def _diagnose_theory(args, model, images, y, delta_hat, result):
+    """Fill ``result`` with the contraction constants and the traced refit's
+    decay verdict; return the note that says why not, where a step is out
+    of reach, else None."""
+    structure = model.structure
     if args.truth is None:
-        notes.append("no --truth given: contraction constants not evaluated")
-        _emit_diagnose(args, result)
-        return EXIT_OK
+        return "no --truth given: contraction constants not evaluated"
     truth = read_dkt(args.truth)
     if model.padded_from is not None and truth.shape == tuple(model.padded_from):
         truth = pad_images(truth[None], model.padded_from, structure.image_dims)[0]
@@ -396,25 +408,19 @@ def cmd_diagnose(args):
         raise DimensionError(
             f"truth has {truth.size} entries, images have {structure.n_voxels}"
         )
-    if probe.delta_hat >= 1.0 / 3.0:
-        notes.append(f"probed delta {probe.delta_hat:.3f} >= 1/3: theory out of range")
-        _emit_diagnose(args, result)
-        return EXIT_OK
+    if delta_hat >= 1.0 / 3.0:
+        return f"probed delta {delta_hat:.3f} >= 1/3: theory out of range"
     if structure.rank != 1:
-        notes.append("initialization distance is measured for rank-1 structures only")
-        _emit_diagnose(args, result)
-        return EXIT_OK
+        return "initialization distance is measured for rank-1 structures only"
 
     try:
         mu = measure_mu(images, y, truth, structure)
     except DegenerateDataError as exc:
-        notes.append(f"initialization distance unavailable: {exc}")
-        _emit_diagnose(args, result)
-        return EXIT_OK
+        return f"initialization distance unavailable: {exc}"
     t3 = np.asarray(truth, dtype=np.float64).reshape(structure.dims3, order="F")
     noise = y - get_family(model.family).mean(_inner_products(images, t3, structure))
     tau0 = probe_tau0(images, noise, structure, n_probes=args.probes, seed=args.seed)
-    constants = theory_constants(probe.delta_hat, mu, tau0, fro_norm(truth), structure.depth)
+    constants = theory_constants(delta_hat, mu, tau0, fro_norm(truth), structure.depth)
     result["constants"] = asdict(constants)
     result["condition_met"] = constants.condition_met
 
@@ -423,8 +429,7 @@ def cmd_diagnose(args):
                     padded_from=None)
     verdict = verify_decay(report.dist_trace, constants, t_start=1)
     result["decay_verdict"] = verdict.to_dict()
-    _emit_diagnose(args, result)
-    return EXIT_OK
+    return None
 
 
 def _sanitize(obj):
@@ -436,12 +441,6 @@ def _sanitize(obj):
     if isinstance(obj, float) and not np.isfinite(obj):
         return None
     return obj
-
-
-def _emit_diagnose(args, result):
-    _write_json(args.out, result)
-    if args.out:
-        print(f"diagnose: report in {args.out}")
 
 
 def _add_fit_arguments(p):

@@ -23,7 +23,7 @@ cover the separate question of whether the factorization is unique.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -426,15 +426,7 @@ class IdentifiabilityReport:
     necessary: bool
 
     def to_dict(self):
-        return {
-            "per_layer_krank": list(self.per_layer_krank),
-            "krank_sum": self.krank_sum,
-            "sufficiency_rhs": self.sufficiency_rhs,
-            "sufficient": self.sufficient,
-            "per_layer_rank": list(self.per_layer_rank),
-            "min_complement_product": self.min_complement_product,
-            "necessary": self.necessary,
-        }
+        return asdict(self)
 
 
 def identifiability_check(model):

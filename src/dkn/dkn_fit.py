@@ -149,21 +149,13 @@ class DknStructure:
         """Per-mode extents of the composed layers l..L; (1,1,1) at l = L+1."""
         if not 1 <= l <= self.depth + 1:
             raise DimensionError(f"layer {l} outside 1..{self.depth + 1}")
-        out = [1, 1, 1]
-        for fd in self.factor_dims[l - 1 :]:
-            for m in range(3):
-                out[m] *= fd[m]
-        return tuple(out)
+        return _composed_extents(self.factor_dims[l - 1 :])
 
     def lower_extents(self, l):
         """Per-mode extents of the composed layers 1..l; (1,1,1) at l = 0."""
         if not 0 <= l <= self.depth:
             raise DimensionError(f"layer {l} outside 0..{self.depth}")
-        out = [1, 1, 1]
-        for fd in self.factor_dims[:l]:
-            for m in range(3):
-                out[m] *= fd[m]
-        return tuple(out)
+        return _composed_extents(self.factor_dims[:l])
 
     def to_dict(self):
         return {
@@ -172,6 +164,15 @@ class DknStructure:
             "rank": self.rank,
             "depth": self.depth,
         }
+
+
+def _composed_extents(factor_dims):
+    """Per-mode extents of the given layers composed; (1,1,1) for none."""
+    out = [1, 1, 1]
+    for fd in factor_dims:
+        for m in range(3):
+            out[m] *= fd[m]
+    return tuple(out)
 
 
 def _prime_ladder(x):
@@ -197,9 +198,7 @@ def deepest_structure(image_dims, rank=1):
     least 2 (a unit top layer is added for extents that do not factor).
     """
     dims = tuple(int(d) for d in image_dims)
-    if not 1 <= len(dims) <= 3 or any(d < 1 for d in dims):
-        raise DimensionError(f"expected 1..3 positive extents, got {dims}")
-    ladders = [_prime_ladder(d) for d in _triple(dims)]
+    ladders = [_prime_ladder(d) for d in _triple(dims)]  # refuses bad extents
     depth = max(2, max(len(lad) for lad in ladders))
     factor_dims = []
     for l in range(depth):
@@ -220,13 +219,9 @@ def merge_to_depth(structure, depth):
         )
     if depth == structure.depth:
         return structure
-    fd = structure.factor_dims
-    top = [1, 1, 1]
-    for extents in fd[depth - 1 :]:
-        top = [a * b for a, b in zip(top, extents)]
     return DknStructure(
         image_dims=structure.image_dims,
-        factor_dims=fd[: depth - 1] + (tuple(top),),
+        factor_dims=structure.factor_dims[: depth - 1] + (structure.upper_extents(depth),),
         rank=structure.rank,
     )
 
@@ -454,7 +449,6 @@ class FitReport:
     dist_trace: list = None
     collapse_events: list = field(default_factory=list)
     snapshots: list = None
-    init_left_products: dict = None
 
     def to_dict(self, include_timing=True):
         out = {
@@ -775,21 +769,19 @@ def _fit(images, response, structure, family, options, padded_from, start=None, 
     chain, so sweep 1 splits at ``_split_layer`` and warm-starts its layer
     solves from the start's factors like later sweeps; a collapsed upper
     product is reseeded by a random unit vector, as no spectral pool is
-    formed, and ``report.init_left_products`` stays None.  ``vec_x`` is
-    the images' solver stack (:func:`_vectorize_images`) when the caller
-    has built it already.  Without ``start`` and ``vec_x`` this is
-    :func:`fit`."""
+    formed.  ``vec_x`` is the images' solver stack
+    (:func:`_vectorize_images`) when the caller has built it already;
+    otherwise it is built after the response and options are checked.
+    Without ``start`` and ``vec_x`` this is :func:`fit`."""
     t0 = time.perf_counter()
     options = options or FitOptions()
     family = glm.get_family(family)
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     images = _image_stack(images, structure, padded_from)[0]  # one array, read twice
-    if vec_x is None:
-        vec_x = _vectorize_images(images, structure, padded_from=padded_from)
     y_raw = family.validate_response(response)
-    if y_raw.shape != (vec_x.shape[1],):
+    if y_raw.shape != (images.shape[0],):
         raise DimensionError(
-            f"response length {y_raw.shape} does not match {vec_x.shape[1]} images"
+            f"response length {y_raw.shape} does not match {images.shape[0]} images"
         )
     bad = np.flatnonzero(~np.isfinite(y_raw))
     if bad.size:
@@ -812,13 +804,13 @@ def _fit(images, response, structure, family, options, padded_from, start=None, 
             raise DimensionError(f"trace_truth extents {truth.shape} do not match image extents")
         truth_vec = vec(t3)
         report.dist_trace = []
+    if vec_x is None:
+        vec_x = _vectorize_images(images, structure, padded_from=padded_from)
 
     if options.trace_factors:
         report.snapshots = []
     if start is None:
         left, pools = _spectral_seeds(_weighted_sum(images, y, structure, padded_from), structure)
-        if options.trace_factors:
-            report.init_left_products = left  # canonical; the sweep works on a mapped copy
         factors = [[None] * L for _ in range(R)]
         # up[l][r]: term r's upper product (layers l..L) in layer-digit order.
         up = {l: [v[_digits(structure, l, L)] for v in vs] for l, vs in left.items()}

@@ -123,10 +123,6 @@ def get_family(name):
         raise DimensionError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}") from None
 
 
-def _nll(family, eta, y):
-    return float(np.sum(family.psi(eta) - y * eta))
-
-
 def nll_eta(family, eta, y):
     """Negative log-likelihood sum(psi(eta) - y*eta) for a given predictor."""
     family = get_family(family)
@@ -134,7 +130,7 @@ def nll_eta(family, eta, y):
     y = family.validate_response(y)
     if eta.shape != y.shape:
         raise DimensionError(f"predictor/response length mismatch: {eta.shape} vs {y.shape}")
-    return _nll(family, eta, y)
+    return float(np.sum(family.psi(eta) - y * eta))
 
 
 def nll(family, design, beta, y):

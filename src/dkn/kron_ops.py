@@ -17,7 +17,9 @@ Two reshaping operators expose the multilinear structure:
   outer products, mode l varying with vec(B_l).  Ravelled, it is a vec in
   layer-digit order (``reshape_T_indices``): level 1's digit slowest.
 
-Both are pure index permutations: entries are moved, never combined.
+Both are pure index permutations, entries moved and never combined, and
+both come from the one layer-digit map: ``reshape_R``'s is the transposed
+``reshape_T_indices`` of the two-level chain (dims / grid, grid).
 
 In layer-digit order a chain is ``np.kron(vec(B_1), ..., vec(B_L))``, the
 one fold (``_kron``) that composes every chain: ``kron_chain`` scatters it
@@ -118,27 +120,20 @@ def compose_coeff(terms):
     return out
 
 
-@lru_cache(maxsize=256)
-def _reshape_R_indices_cached(dims3, grid3):
-    d, p, q = dims3
-    d1, p1, q1 = grid3
-    for n, g in zip(dims3, grid3):
-        if n % g != 0:
-            raise DimensionError(f"grid {grid3} does not divide extents {dims3}")
-    d2, p2, q2 = d // d1, p // p1, q // q1
-    src = np.arange(d * p * q, dtype=np.intp).reshape(dims3, order="F")
-    t6 = src.reshape((d1, d2, p1, p2, q1, q2), order="F")
-    out = t6.transpose(0, 2, 4, 1, 3, 5).reshape((d1 * p1 * q1, d2 * p2 * q2), order="F")
-    out.setflags(write=False)
-    return out
-
 def reshape_R_indices(dims, grid):
     """Index map M with ``reshape_R(c, grid) == vec(c)[M]`` for c of extents ``dims``.
 
     Precomputing M lets callers apply the reshape to whole batches of
-    vectorized tensors with one fancy-indexing gather.
+    vectorized tensors with one fancy-indexing gather.  M is the transposed
+    layer-digit map of the two-level chain (dims / grid, grid): a grid
+    position is the fast digit of every mode, a sub-lattice entry the slow.
     """
-    return _reshape_R_indices_cached(_triple(dims), _triple(grid))
+    dims3, grid3 = _triple(dims), _triple(grid)
+    for n, g in zip(dims3, grid3):
+        if n % g != 0:
+            raise DimensionError(f"grid {grid3} does not divide extents {dims3}")
+    rest = tuple(n // g for n, g in zip(dims3, grid3))
+    return reshape_T_indices(dims3, (rest, grid3)).reshape(-1, int(np.prod(grid3))).T
 
 
 def reshape_R(c, grid):

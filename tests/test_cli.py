@@ -266,6 +266,12 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bogus_knob" in err
 
+    for instances in ("0", "-3"):
+        report = tmp_path / f"identities{instances}.json"
+        assert main(["check-equivalence", "--instances", instances, "--out", str(report)]) == 2
+        assert "--instances" in capsys.readouterr().err
+        assert not report.exists()
+
 
 @pytest.mark.parametrize("knob", [{"max_sweeps": 0}, {"tol": float("nan")}])
 def test_simulate_refuses_bad_fit_settings_before_writing(tmp_path, capsys, knob):

@@ -125,6 +125,9 @@ def test_deepest_structure_prime_ladders():
     s = deepest_structure((256, 256, 256), rank=3)
     assert s.depth == 8
     assert s.param_count == 192
+    for bad in [(4, 0), (2, 2, 2, 2), ()]:
+        with pytest.raises(DimensionError, match=r"^expected 1\.\.3 positive extents, got "):
+            deepest_structure(bad)
 
 
 def test_merge_to_depth():
@@ -137,6 +140,20 @@ def test_merge_to_depth():
         merge_to_depth(s4, 1)
     with pytest.raises(DimensionError):
         merge_to_depth(s4, 5)
+
+
+@pytest.mark.parametrize("dims", [(48,), (12, 20), (8, 12, 18)])
+def test_merge_to_depth_multiplies_the_top_layers(dims):
+    """At every depth the merged top layer is the per-mode product of the
+    layers it replaces, and the lower layers are kept as they are."""
+    s = deepest_structure(dims, rank=2)
+    for depth in range(2, s.depth + 1):
+        top = [1, 1, 1]
+        for extents in s.factor_dims[depth - 1 :]:
+            top = [a * b for a, b in zip(top, extents)]
+        merged = merge_to_depth(s, depth)
+        assert merged.factor_dims == s.factor_dims[: depth - 1] + (tuple(top),)
+        assert (merged.image_dims, merged.rank) == (s.image_dims, s.rank)
 
 
 def test_auto_structure_pads_awkward_extents():
@@ -300,18 +317,19 @@ def reseeded_factors(structure, seed, k, l):
     return out
 
 
-def sweep_partial_products(report, betas, structure, seed):
+def sweep_partial_products(report, betas, structure, seed, seeds):
     """(upper, lower) products of every (sweep, layer) solve, rebuilt from a
     fit report and the solutions of the solves: upper products from the
-    spectral seeds in sweep 1 and from the previous sweep's factors after
-    it; lower products from this sweep's solutions, restarted at each
-    lower-side reseed from the chain of the factors it drew."""
+    spectral ``seeds`` (``init_spectral``) in sweep 1 and from the previous
+    sweep's factors after it; lower products from this sweep's solutions,
+    restarted at each lower-side reseed from the chain of the factors it
+    drew."""
     L, R = structure.depth, structure.rank
     out = []
     solutions = iter(betas)
     for t in range(1, report.sweeps + 1):
         if t == 1:
-            ups = report.init_left_products
+            ups = seeds
         else:
             prev = DknModel(structure=structure, factors=report.snapshots[t - 2])
             ups = {l: partial_products(prev, l, "left") for l in range(2, L + 2)}
@@ -334,10 +352,11 @@ def assert_sweep_designs_match_gather(images, y, structure, family, options, pad
     with pytest.MonkeyPatch.context() as mp:
         designs, betas = record_designs(mp)
         _, report = fit(images, y, structure, family=family, options=options, padded_from=padded_from)
-    products = sweep_partial_products(report, betas, structure, options.seed)
-    assert len(designs) == len(products) == report.sweeps * structure.depth
     if padded_from is not None:
         images = pad_images(images, padded_from, structure.image_dims)
+    seeds = init_spectral(images, y, structure)
+    products = sweep_partial_products(report, betas, structure, options.seed, seeds)
+    assert len(designs) == len(products) == report.sweeps * structure.depth
     rows = np.stack([vec(x) for x in images])
     for i, (got, (left, right)) in enumerate(zip(designs, products)):
         l = i % structure.depth + 1
@@ -883,6 +902,39 @@ def test_fit_names_a_non_finite_response(center):
     y[23] = np.inf
     with pytest.raises(DimensionError, match=r"^response row 23 is not finite"):
         fit(images, y, deepest_structure((16, 16)), options=FitOptions(center_response=center))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("short", r"^response length \(59,\) does not match 60 images$"),
+        ("non_finite", r"^response row 5 is not finite \(nan\)$"),
+        ("center_bernoulli", r"^center_response applies to the gaussian family only$"),
+        ("truth_extents", r"^trace_truth extents \(8, 8\) do not match image extents$"),
+    ],
+    ids=["short", "non_finite", "center_bernoulli", "truth_extents"],
+)
+def test_fit_refuses_bad_inputs_before_building_the_stack(monkeypatch, case, message):
+    """Each refusal comes before the images are copied into the solver's stack."""
+
+    def no_stack(*args, **kwargs):
+        raise AssertionError("the solver stack was built before the inputs were checked")
+
+    monkeypatch.setattr(dkn_fit, "_vectorize_images", no_stack)
+    rng = np.random.default_rng(43)
+    images = rng.standard_normal((60, 16, 16))
+    y = (rng.random(60) < 0.5) * 1.0
+    family, options = "gaussian", FitOptions()
+    if case == "short":
+        y = y[:59]
+    elif case == "non_finite":
+        y[5] = np.nan
+    elif case == "center_bernoulli":
+        family, options = "bernoulli", FitOptions(center_response=True)
+    else:
+        options = FitOptions(trace_truth=np.ones((8, 8)))
+    with pytest.raises(DimensionError, match=message):
+        fit(images, y, deepest_structure((16, 16)), family=family, options=options)
 
 
 def test_fit_zero_response_is_degenerate():
@@ -1596,7 +1648,7 @@ def test_depth_two_fit_equals_plain_alternating_least_squares():
     opts = FitOptions(max_sweeps=3, tol=0.0, ridge=0.0, trace_factors=True)
     _, report = fit(images, y, structure, options=opts)
 
-    b2s = [unvec(v, (2, 2)) for v in report.init_left_products[2]]
+    b2s = [unvec(v, (2, 2)) for v in init_spectral(images, y, structure)[2]]
     for t in range(3):
         d1 = two_layer_designs(images, b2s, layer=1)
         beta1 = np.linalg.lstsq(d1, y, rcond=None)[0]

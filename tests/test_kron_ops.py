@@ -1,3 +1,4 @@
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -195,6 +196,32 @@ def test_reshape_grid_must_divide():
         reshape_R(np.zeros((4, 4)), (3, 2))
     with pytest.raises(DimensionError):
         reshape_R_indices((4, 4, 1), (0, 2, 1))
+
+
+def reshape_R_indices_oracle(dims3, grid3):
+    """``reshape_R_indices`` built from the sub-lattice definition: each
+    mode split into (offset, stride) digits, the offsets grouped as rows."""
+    d, p, q = dims3
+    d1, p1, q1 = grid3
+    d2, p2, q2 = d // d1, p // p1, q // q1
+    src = np.arange(d * p * q, dtype=np.intp).reshape(dims3, order="F")
+    t6 = src.reshape((d1, d2, p1, p2, q1, q2), order="F")
+    return t6.transpose(0, 2, 4, 1, 3, 5).reshape((d1 * p1 * q1, d2 * p2 * q2), order="F")
+
+
+def test_reshape_index_map_matches_the_sub_lattice_oracle():
+    """The map taken from the two-level layer-digit map equals the
+    sub-lattice construction for every dividing grid, read-only as well."""
+    extents, grids, pairs = (1, 2, 3, 4, 6, 8, 12), (1, 2, 3, 4, 6), 0
+    for dims in itertools.product(extents, repeat=3):
+        for grid in itertools.product(grids, repeat=3):
+            if any(n % g for n, g in zip(dims, grid)):
+                continue
+            got, want = reshape_R_indices(dims, grid), reshape_R_indices_oracle(dims, grid)
+            assert got.shape == want.shape and np.array_equal(got, want), (dims, grid)
+            assert not got.flags.writeable
+            pairs += 1
+    assert pairs == 8000
 
 
 def test_regroup_cp_identity_ranks_and_depths():
