@@ -1,10 +1,10 @@
 """The ``dkn`` command line: simulate, fit, predict, scan-rank, diagnose.
 
 All outputs are deterministic functions of the inputs and the seed: JSON
-reports are strict JSON (non-finite floats written as null) with sorted
-keys and no timing fields, tensors go through the DKT1 byte format, and
-CSV floats use shortest round-trip formatting.  Repeating a command with
-identical inputs reproduces every output byte for byte.
+reports carry no timing fields, JSON and DKT1 files are read and written
+by ``tensor_core``, and CSV floats use shortest round-trip formatting.
+Repeating a command with identical inputs reproduces every output byte
+for byte.
 
 Exit codes: 0 on success, 2 on validation errors (bad arguments, malformed
 files, mismatched extents), 3 on solver failures (singular systems, a layer
@@ -17,7 +17,6 @@ print one line on standard error per such rank.
 import argparse
 import csv
 import glob as globmod
-import json
 import os
 import re
 import sys
@@ -35,9 +34,9 @@ from .diagnostics import (
     verify_decay,
 )
 from .dkn_fit import (
-    DknStructure,
     FitOptions,
     _inner_products,
+    _parse_structure,
     auto_structure,
     fit,
     load_model,
@@ -57,7 +56,8 @@ from .errors import (
 from .glm import get_family
 from .harness import ExperimentConfig, gen_images, gen_responses, gen_signal
 from .kron_ops import compose_coeff, conv_chain_eval, kron_chain, reshape_T, reshape_R, tkp
-from .tensor_core import fro_norm, inner, read_dkt, read_dkt_stack, vec, write_dkt
+from .tensor_core import _read_json, _write_json, fro_norm, inner, read_dkt, read_dkt_stack, vec
+from .tensor_core import write_dkt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,17 +65,6 @@ EXIT_SOLVER = 3
 
 _VALIDATION_ERRORS = (DimensionError, DataFormatError, ValueError, OSError)
 _SOLVER_ERRORS = (RankDeficiencyError, ConvergenceError, DegenerateDataError)
-
-
-def _write_json(path, payload):
-    """Write ``payload`` to ``path``, or to standard output when ``path`` is
-    None, as strict JSON with sorted keys: a non-finite float becomes null."""
-    text = json.dumps(_sanitize(payload), indent=2, sort_keys=True, allow_nan=False)
-    if path is None:
-        print(text)
-        return
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -151,11 +140,9 @@ def _write_images_dir(path, images):
 
 
 def cmd_simulate(args):
-    with open(args.config) as fh:
-        raw = json.load(fh)
     try:
-        cfg = ExperimentConfig.from_dict(raw)
-    except TypeError as exc:
+        cfg = ExperimentConfig.from_dict(_read_json(args.config))
+    except (TypeError, AttributeError) as exc:
         raise DataFormatError(f"{args.config}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
 
@@ -190,19 +177,7 @@ def _resolve_structure(image_dims, args, rank):
         return structure, padded_from
     if args.depth is not None:
         raise DimensionError("--depth applies only to --structure auto, not to a structure file")
-    with open(args.structure) as fh:
-        try:
-            sd = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{args.structure}: invalid JSON ({exc})") from None
-    try:
-        structure = DknStructure(
-            image_dims=tuple(sd["image_dims"]),
-            factor_dims=tuple(tuple(fd) for fd in sd["factor_dims"]),
-            rank=rank if rank is not None else int(sd.get("rank", 1)),
-        )
-    except KeyError as exc:
-        raise DataFormatError(f"{args.structure}: missing key {exc}") from None
+    structure = _parse_structure(_read_json(args.structure), args.structure, rank)
     if structure.image_dims != tuple(image_dims):
         raise DimensionError(
             f"structure file extents {structure.image_dims} do not match "
@@ -430,17 +405,6 @@ def _diagnose_theory(args, model, images, y, delta_hat, result):
     verdict = verify_decay(report.dist_trace, constants, t_start=1)
     result["decay_verdict"] = verdict.to_dict()
     return None
-
-
-def _sanitize(obj):
-    """Replace non-finite floats with None so reports stay strict JSON."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
 
 
 def _add_fit_arguments(p):

@@ -44,7 +44,7 @@ from .dkn_fit import (
 )
 from .errors import DegenerateDataError, DimensionError
 from .kron_ops import reshape_R_indices
-from .tensor_core import dist, vec
+from .tensor_core import _sanitize, dist, vec
 
 __all__ = [
     "coeff_distance",
@@ -306,11 +306,6 @@ def theory_constants(delta, mu, tau0, coeff_norm, depth):
     )
 
 
-def _finite_or_none(v):
-    v = float(v)
-    return v if math.isfinite(v) else None
-
-
 @dataclass
 class DecayVerdict:
     passed: bool
@@ -323,16 +318,7 @@ class DecayVerdict:
     noise_floor: float
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "condition_met": self.condition_met,
-            "vacuous": self.vacuous,
-            "within_bound": list(self.within_bound),
-            "margins": [_finite_or_none(v) for v in self.margins],
-            "ratios": [float(v) for v in self.ratios],
-            "ratio_threshold": _finite_or_none(self.ratio_threshold),
-            "noise_floor": _finite_or_none(self.noise_floor),
-        }
+        return _sanitize(asdict(self))
 
 
 def verify_decay(trace, constants, t_start=0, ratio_slack=0.05):

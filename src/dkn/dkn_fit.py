@@ -46,7 +46,6 @@ through to its image's prediction or design row.
 
 import copy
 import itertools
-import json
 import math
 import os
 import time
@@ -62,9 +61,9 @@ from .errors import (
     DimensionError,
     RankDeficiencyError,
 )
-from .kron_ops import _contract_lower, _contract_upper, _kron, _triple, compose_coeff, kron_chain
-from .kron_ops import reshape_R_indices, reshape_T_indices
-from .tensor_core import dist, read_dkt, unvec, vec, write_dkt
+from .kron_ops import _composed_extents, _contract_lower, _contract_upper, _kron, _lift3, _triple
+from .kron_ops import compose_coeff, kron_chain, reshape_R_indices, reshape_T_indices
+from .tensor_core import _read_json, _write_json, dist, read_dkt, unvec, vec, write_dkt
 
 __all__ = [
     "DknStructure",
@@ -164,15 +163,6 @@ class DknStructure:
             "rank": self.rank,
             "depth": self.depth,
         }
-
-
-def _composed_extents(factor_dims):
-    """Per-mode extents of the given layers composed; (1,1,1) for none."""
-    out = [1, 1, 1]
-    for fd in factor_dims:
-        for m in range(3):
-            out[m] *= fd[m]
-    return tuple(out)
 
 
 def _prime_ladder(x):
@@ -527,7 +517,7 @@ def _digits(structure, first, last):
     layer-digit order (``kron_ops.reshape_T_indices``); the full slice for
     an empty range, whose product is a scalar."""
     fd = structure.factor_dims[first - 1 : last]
-    return reshape_T_indices(np.prod(fd, axis=0), fd) if fd else slice(None)
+    return reshape_T_indices(_composed_extents(fd), fd) if fd else slice(None)
 
 
 def _split_layer(structure):
@@ -778,31 +768,12 @@ def _fit(images, response, structure, family, options, padded_from, start=None, 
     family = glm.get_family(family)
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     images = _image_stack(images, structure, padded_from)[0]  # one array, read twice
-    y_raw = family.validate_response(response)
-    if y_raw.shape != (images.shape[0],):
-        raise DimensionError(
-            f"response length {y_raw.shape} does not match {images.shape[0]} images"
-        )
-    bad = np.flatnonzero(~np.isfinite(y_raw))
-    if bad.size:
-        raise DimensionError(f"response row {bad[0]} is not finite ({y_raw[bad[0]]})")
-    intercept = 0.0
-    y = y_raw
-    if options.center_response:
-        if family.name != "gaussian":
-            raise DimensionError("center_response applies to the gaussian family only")
-        intercept = float(np.mean(y_raw))
-        y = y_raw - intercept
+    y_raw, intercept, truth_vec = _checked_inputs(images, response, structure, family, options)
+    y = y_raw - intercept
 
     L, R = structure.depth, structure.rank
     report = FitReport(family=family.name, rank=R, param_count=structure.param_count)
-    truth_vec = None
-    if options.trace_truth is not None:
-        truth = np.asarray(options.trace_truth, dtype=np.float64)
-        t3 = truth.reshape(_triple(truth.shape) if truth.ndim < 3 else truth.shape, order="F")
-        if t3.shape != structure.dims3:
-            raise DimensionError(f"trace_truth extents {truth.shape} do not match image extents")
-        truth_vec = vec(t3)
+    if truth_vec is not None:
         report.dist_trace = []
     if vec_x is None:
         vec_x = _vectorize_images(images, structure, padded_from=padded_from)
@@ -853,6 +824,33 @@ def _fit(images, response, structure, family, options, padded_from, start=None, 
     report.bic = 2.0 * nll + structure.param_count * math.log(y_raw.shape[0])
     report.wall_time_s = time.perf_counter() - t0
     return model, report
+
+
+def _checked_inputs(images, response, structure, family, options):
+    """The response, its intercept and the vec of ``options.trace_truth``
+    (None without one), after :func:`_fit`'s checks, which need no solver
+    stack: one finite response per image, ``center_response`` on the
+    gaussian family only, and a trace truth at the image extents.  The
+    intercept is the response mean when it is centered, else 0.0."""
+    y = family.validate_response(response)
+    if y.shape != (images.shape[0],):
+        raise DimensionError(
+            f"response length {y.shape} does not match {images.shape[0]} images"
+        )
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise DimensionError(f"response row {bad[0]} is not finite ({y[bad[0]]})")
+    intercept = 0.0
+    if options.center_response:
+        if family.name != "gaussian":
+            raise DimensionError("center_response applies to the gaussian family only")
+        intercept = float(np.mean(y))
+    if options.trace_truth is None:
+        return y, intercept, None
+    truth = np.asarray(options.trace_truth, dtype=np.float64)
+    if truth.ndim > 3 or _lift3(truth).shape != structure.dims3:
+        raise DimensionError(f"trace_truth extents {truth.shape} do not match image extents")
+    return y, intercept, vec(truth)
 
 
 def _sweeps(vec_x, y, family, structure, options, factors, up, pools, events):
@@ -1005,24 +1003,25 @@ def scan_rank(images, response, structure, ranks, family="gaussian", options=Non
     linear predictor, and its final objective is no higher than that
     fit's, up to the ridge penalty of its solves.  A cold fit of any rank
     is one :func:`fit` call.  The images are copied into one solver stack,
-    which every rank's fit reads.
+    which every rank's fit reads, once every rank and :func:`_fit`'s checks
+    of the inputs have passed.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
-    ranks = sorted({int(r) for r in ranks})
-    if not ranks:
+    structures = [replace(structure, rank=r) for r in sorted({int(r) for r in ranks})]
+    if not structures:
         raise DimensionError("need at least one candidate rank")
     images = _image_stack(images, structure, padded_from)[0]
+    _checked_inputs(images, response, structure, glm.get_family(family), options or FitOptions())
     vec_x = _vectorize_images(images, structure, padded_from=padded_from)
     reports, bics = {}, {}
     best = model = None
-    for r in ranks:
-        s = replace(structure, rank=r)
+    for s in structures:
         start = None if model is None else _rank_start(model, images, response, s)
         model, rep = _fit(images, response, s, family, options, padded_from, start, vec_x)
-        reports[r] = rep
-        bics[r] = rep.bic
+        reports[s.rank] = rep
+        bics[s.rank] = rep.bic
         if best is None or rep.bic < bics[best[0]]:
-            best = (r, model)
+            best = (s.rank, model)
     return ScanResult(best_rank=best[0], best_model=best[1], reports=reports, bic_table=bics)
 
 
@@ -1045,38 +1044,48 @@ def save_model(model, out_dir):
         "factor_files": factor_files,
     }
     path = os.path.join(out_dir, MANIFEST_NAME)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path
+
+
+def _parse_structure(sd, path, rank=None):
+    """The :class:`DknStructure` that ``sd``, read from the JSON file
+    ``path``, describes: its ``image_dims``, ``factor_dims`` and, unless
+    ``rank`` is given, its ``rank`` (default 1).  An ``sd`` that is not an
+    object, or a missing or ill-typed entry, is a :class:`DataFormatError`
+    naming ``path``; extents that do not compose stay a DimensionError."""
+    if not isinstance(sd, dict):
+        raise DataFormatError(f"{path}: expected a structure object, got {sd!r}")
+    try:
+        image_dims = tuple(int(d) for d in sd["image_dims"])
+        factor_dims = tuple(tuple(int(e) for e in fd) for fd in sd["factor_dims"])
+        rank = int(sd.get("rank", 1)) if rank is None else rank
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: missing structure entry {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: ill-typed structure entry ({exc})") from None
+    return DknStructure(image_dims=image_dims, factor_dims=factor_dims, rank=rank)
 
 
 def load_model(model_dir):
     path = os.path.join(model_dir, MANIFEST_NAME)
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
+        manifest = _read_json(path)
     except FileNotFoundError:
         raise DataFormatError(f"{model_dir}: missing {MANIFEST_NAME}") from None
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
     if manifest.get("format") != _MODEL_FORMAT:
         raise DataFormatError(f"{path}: unsupported format {manifest.get('format')!r}")
-    sd = manifest["structure"]
-    structure = DknStructure(
-        image_dims=tuple(sd["image_dims"]),
-        factor_dims=tuple(tuple(fd) for fd in sd["factor_dims"]),
-        rank=int(sd["rank"]),
-    )
+    structure = _parse_structure(manifest.get("structure"), path)
+    files = manifest.get("factor_files")
+    if not isinstance(files, dict):
+        raise DataFormatError(f"{path}: expected a factor_files object, got {files!r}")
     factors = []
     for r in range(1, structure.rank + 1):
         chain = []
         for l in range(1, structure.depth + 1):
-            key = f"r{r}_l{l}"
-            try:
-                name = manifest["factor_files"][key]
-            except KeyError:
-                raise DataFormatError(f"{path}: missing factor entry {key}") from None
+            name = files.get(f"r{r}_l{l}")
+            if not isinstance(name, str):
+                raise DataFormatError(f"{path}: missing factor entry r{r}_l{l}")
             f = read_dkt(os.path.join(model_dir, name))
             if f.shape != structure.factor_dims[l - 1]:
                 raise DataFormatError(
@@ -1086,10 +1095,13 @@ def load_model(model_dir):
             chain.append(f)
         factors.append(chain)
     padded = manifest.get("padded_from")
-    return DknModel(
-        structure=structure,
-        factors=factors,
-        family=manifest.get("family", "gaussian"),
-        intercept=float(manifest.get("intercept", 0.0)),
-        padded_from=tuple(padded) if padded else None,
-    )
+    try:
+        return DknModel(
+            structure=structure,
+            factors=factors,
+            family=manifest.get("family", "gaussian"),
+            intercept=float(manifest.get("intercept", 0.0)),
+            padded_from=tuple(padded) if padded else None,
+        )
+    except (TypeError, ValueError) as exc:  # family, intercept or padded_from
+        raise DataFormatError(f"{path}: ill-typed entry ({exc})") from None

@@ -15,7 +15,7 @@ indicators; ``quasi_sparse`` signals draw N(1, 1) inside the support and
 N(0.1, 0.1) outside, where the second parameter is the variance.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .dkn_fit import (
 )
 from .errors import DimensionError
 from .glm import get_family
-from .tensor_core import as_tensor, fro_norm
+from .tensor_core import _sanitize, as_tensor, fro_norm
 
 __all__ = [
     "SignalSpec",
@@ -318,10 +318,6 @@ def _structure_for(cfg):
     return structure, padded_from
 
 
-def _clean(v):
-    return float(v) if np.isfinite(v) else None
-
-
 @dataclass
 class RepetitionResult:
     rep: int
@@ -335,17 +331,7 @@ class RepetitionResult:
     accuracy_dkn: float = float("nan")
 
     def to_dict(self):
-        return {
-            "rep": self.rep,
-            "seed": self.seed,
-            "rmse_coeff_dkn": _clean(self.rmse_coeff_dkn),
-            "rmse_pred_dkn": _clean(self.rmse_pred_dkn),
-            "rmse_coeff_ridge": _clean(self.rmse_coeff_ridge),
-            "rmse_pred_ridge": _clean(self.rmse_pred_ridge),
-            "sweeps": self.sweeps,
-            "converged": self.converged,
-            "accuracy_dkn": _clean(self.accuracy_dkn),
-        }
+        return _sanitize(asdict(self))
 
 
 def run_repetition(cfg, rep_seed, rep=0):

@@ -68,6 +68,15 @@ def _triple(dims):
     return dims + (1,) * (3 - len(dims))
 
 
+def _composed_extents(factor_dims):
+    """Per-mode extents of the given layers composed; (1,1,1) for none."""
+    out = [1, 1, 1]
+    for fd in factor_dims:
+        for m in range(3):
+            out[m] *= fd[m]
+    return tuple(out)
+
+
 def tkp(a, b):
     """Kronecker product with a's index fastest along every mode:
     ``np.kron(b, a)``, column-major like every composed tensor here."""
@@ -100,7 +109,7 @@ def kron_chain(factors):
     if len(orders) != 1:
         raise DimensionError(f"factors must share one order, got orders {sorted(orders)}")
     fd = [_triple(f.shape) for f in factors]  # refuses orders outside 1..3
-    dims = np.prod(fd, axis=0)
+    dims = _composed_extents(fd)
     out = np.empty(int(np.prod(dims)))
     out[reshape_T_indices(dims, fd)] = reduce(_kron, [vec(f) for f in factors])
     return unvec(out, dims[: orders.pop()])
@@ -151,7 +160,7 @@ def reshape_R(c, grid):
 @lru_cache(maxsize=256)
 def _reshape_T_indices_cached(dims3, fd):
     L = len(fd)
-    if not fd or tuple(int(e) for e in np.prod(fd, axis=0)) != dims3:
+    if not fd or _composed_extents(fd) != dims3:
         raise DimensionError(f"factor extents {list(fd)} do not compose to {dims3}")
     # Split each mode with level L fastest, matching the chain composition,
     # then order the digits level 1 slowest, each level's as vec(B_l).
@@ -236,9 +245,9 @@ def conv_chain_eval(x, factors):
     if not factors:
         raise DimensionError("factor chain must be non-empty")
     acc = _lift3(x)
-    comp = [int(np.prod([_triple(np.shape(f))[m] for f in factors])) for m in range(3)]
-    if tuple(comp) != acc.shape:
-        raise DimensionError(f"factor extents compose to {tuple(comp)}, image has {acc.shape}")
+    comp = _composed_extents(_triple(np.shape(f)) for f in factors)
+    if comp != acc.shape:
+        raise DimensionError(f"factor extents compose to {comp}, image has {acc.shape}")
     for f in factors:
         acc = nonoverlap_conv(acc, _lift3(f))
     return float(acc.ravel()[0])

@@ -15,8 +15,14 @@ directory of images, into one preallocated ``(n, *dims)`` array, each
 file's entries read straight into its own row; ``read_dkt`` reads one file
 as a stack of one.  A malformed file is refused with a
 :class:`DataFormatError` naming it.
+
+Every JSON file goes through one writer and one reader: ``_write_json``
+writes strict JSON (sorted keys, indent 2, a non-finite float as null),
+and ``_read_json`` returns the JSON object in a file, refusing invalid JSON
+or a non-object with a :class:`DataFormatError` naming the file.
 """
 
+import json
 import math
 import os
 import struct
@@ -210,3 +216,39 @@ def read_dkt_stack(paths):
     k = len(shape)
     stack = rows.reshape((len(paths),) + shape[::-1]).transpose(0, *range(k, 0, -1))
     return stack.astype(np.float64, copy=False)
+
+
+def _sanitize(obj):
+    """``obj`` as strict JSON holds it: tuples as lists, floats as plain
+    floats, and a non-finite float as None."""
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else None
+    return obj
+
+
+def _write_json(path, payload):
+    """Write ``payload`` to ``path``, or to standard output when ``path`` is
+    None, as strict JSON with sorted keys: a non-finite float becomes null."""
+    text = json.dumps(_sanitize(payload), indent=2, sort_keys=True, allow_nan=False)
+    if path is None:
+        print(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def _read_json(path):
+    """The JSON object in the file at ``path``; invalid JSON or any other
+    JSON value is refused with a :class:`DataFormatError` naming ``path``."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj

@@ -21,7 +21,16 @@ from numpy.testing import assert_allclose
 import dkn
 from dkn import rng
 from dkn.cli import _load_images_dir, build_parser, main
-from dkn.dkn_fit import DknStructure, FitOptions, auto_structure, fit, load_model, predict
+from dkn.dkn_fit import (
+    DknModel,
+    DknStructure,
+    FitOptions,
+    auto_structure,
+    fit,
+    load_model,
+    predict,
+    save_model,
+)
 from dkn.kron_ops import compose_coeff
 from dkn.tensor_core import write_dkt
 
@@ -271,6 +280,36 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         assert main(["check-equivalence", "--instances", instances, "--out", str(report)]) == 2
         assert "--instances" in capsys.readouterr().err
         assert not report.exists()
+
+    # Malformed JSON inputs: each exits 2 and names the file.
+    s = DknStructure(image_dims=(8, 8), factor_dims=[(2, 2), (4, 4)])
+    save_model(DknModel(structure=s, factors=[[np.ones((2, 2)), np.ones((4, 4))]]),
+               tmp_path / "good_model")
+    good_manifest = json.loads((tmp_path / "good_model" / "manifest.json").read_text())
+    no_structure = {k: v for k, v in good_manifest.items() if k != "structure"}
+    files_as_list = dict(good_manifest, factor_files=list(good_manifest["factor_files"]))
+    for name, manifest in [("no_structure", no_structure), ("list", [1, 2]),
+                           ("files_as_list", files_as_list),
+                           ("intercept_null", dict(good_manifest, intercept=None))]:
+        model = tmp_path / f"model_{name}"
+        shutil.copytree(tmp_path / "good_model", model)
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["predict", "--model", str(model), "--images", imgdir,
+                     "--out", str(tmp_path / "p.csv")]) == 2, name
+        assert str(model / "manifest.json") in capsys.readouterr().err, name
+    for name, text in [("list", "[1, 2]"),
+                       ("int_factor_dims", '{"image_dims": [8, 8], "factor_dims": 3}')]:
+        structure = tmp_path / f"structure_{name}.json"
+        structure.write_text(text)
+        assert main(["fit", "--images", imgdir, "--y", good_y, "--out", str(tmp_path / "m"),
+                     "--structure", str(structure)]) == 2, name
+        assert str(structure) in capsys.readouterr().err, name
+    write_config(cfg, signal="x")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text("{")
+    for config in (cfg, truncated):
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "d")]) == 2
+        assert str(config) in capsys.readouterr().err, config
 
 
 @pytest.mark.parametrize("knob", [{"max_sweeps": 0}, {"tol": float("nan")}])

@@ -217,6 +217,20 @@ def test_verify_decay_vacuous_when_condition_fails():
     assert d["ratio_threshold"] == pytest.approx(c.kappa + 0.05)
 
 
+def test_decay_verdict_to_dict_writes_every_non_finite_float_as_none():
+    verdict = DecayVerdict(
+        passed=False, condition_met=False, vacuous=True, within_bound=[True, False],
+        margins=[math.inf, np.float64(0.25)], ratios=[math.nan, 2.0],
+        ratio_threshold=math.inf, noise_floor=-math.inf,
+    )
+    assert verdict.to_dict() == {
+        "passed": False, "condition_met": False, "vacuous": True,
+        "within_bound": [True, False], "margins": [None, 0.25], "ratios": [None, 2.0],
+        "ratio_threshold": None, "noise_floor": None,
+    }
+    assert type(verdict.to_dict()["margins"][1]) is float
+
+
 def test_verify_decay_noise_floor_suppresses_ratios():
     c = theory_constants(0.05, 0.1, 1e-6, 1.0, 3)
     assert c.condition_met

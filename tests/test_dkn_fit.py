@@ -904,18 +904,27 @@ def test_fit_names_a_non_finite_response(center):
         fit(images, y, deepest_structure((16, 16)), options=FitOptions(center_response=center))
 
 
+_STACK_REFUSALS = [
+    ("short", r"^response length \(59,\) does not match 60 images$"),
+    ("non_finite", r"^response row 5 is not finite \(nan\)$"),
+    ("center_bernoulli", r"^center_response applies to the gaussian family only$"),
+    ("truth_extents", r"^trace_truth extents \(8, 8\) do not match image extents$"),
+    ("truth_order_0", r"^trace_truth extents \(\) do not match image extents$"),
+    ("truth_order_4", r"^trace_truth extents \(16, 16, 1, 1\) do not match image extents$"),
+    ("truth_zero_extent", r"^trace_truth extents \(0, 16\) do not match image extents$"),
+    ("rank_0", r"^rank must be >= 1, got 0$"),
+]
+
+
 @pytest.mark.parametrize(
-    "case, message",
-    [
-        ("short", r"^response length \(59,\) does not match 60 images$"),
-        ("non_finite", r"^response row 5 is not finite \(nan\)$"),
-        ("center_bernoulli", r"^center_response applies to the gaussian family only$"),
-        ("truth_extents", r"^trace_truth extents \(8, 8\) do not match image extents$"),
-    ],
-    ids=["short", "non_finite", "center_bernoulli", "truth_extents"],
+    "entry, case, message",
+    # The fit cases keep their bare ids; the scan_rank ones are prefixed.
+    [pytest.param(entry, case, message, id=case if entry == "fit" else f"scan_rank-{case}")
+     for entry in ("fit", "scan_rank") for case, message in _STACK_REFUSALS],
 )
-def test_fit_refuses_bad_inputs_before_building_the_stack(monkeypatch, case, message):
-    """Each refusal comes before the images are copied into the solver's stack."""
+def test_fit_refuses_bad_inputs_before_building_the_stack(monkeypatch, entry, case, message):
+    """Each refusal of ``fit`` and ``scan_rank`` comes before the images are
+    copied into the solver's stack."""
 
     def no_stack(*args, **kwargs):
         raise AssertionError("the solver stack was built before the inputs were checked")
@@ -924,17 +933,26 @@ def test_fit_refuses_bad_inputs_before_building_the_stack(monkeypatch, case, mes
     rng = np.random.default_rng(43)
     images = rng.standard_normal((60, 16, 16))
     y = (rng.random(60) < 0.5) * 1.0
-    family, options = "gaussian", FitOptions()
+    family, options, rank = "gaussian", FitOptions(), 1
+    truths = {"truth_extents": np.ones((8, 8)), "truth_order_0": np.ones(()),
+              "truth_order_4": np.ones((16, 16, 1, 1)), "truth_zero_extent": np.ones((0, 16))}
     if case == "short":
         y = y[:59]
     elif case == "non_finite":
         y[5] = np.nan
     elif case == "center_bernoulli":
         family, options = "bernoulli", FitOptions(center_response=True)
+    elif case == "rank_0":
+        rank = 0
     else:
-        options = FitOptions(trace_truth=np.ones((8, 8)))
+        options = FitOptions(trace_truth=truths[case])
+    structure = deepest_structure((16, 16))
     with pytest.raises(DimensionError, match=message):
-        fit(images, y, deepest_structure((16, 16)), family=family, options=options)
+        if entry == "fit":
+            # ``fit`` takes a structure dict as well; a rank-0 one is refused.
+            fit(images, y, dict(vars(structure), rank=rank), family=family, options=options)
+        else:
+            scan_rank(images, y, structure, [rank, 2], family=family, options=options)
 
 
 def test_fit_zero_response_is_degenerate():
@@ -1361,6 +1379,16 @@ def test_save_load_round_trip(tmp_path):
     for c1, c2 in zip(model.factors, back.factors):
         for f1, f2 in zip(c1, c2):
             assert np.array_equal(f1, f2)
+
+
+def test_manifest_bytes_are_sorted_strict_json_at_indent_2(tmp_path):
+    rng = np.random.default_rng(23)
+    model = DknModel(structure=S883, factors=random_chains(rng, S883), intercept=0.5)
+    with open(save_model(model, tmp_path)) as fh:
+        text = fh.read()
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert list(manifest) == sorted(manifest) and manifest["intercept"] == 0.5
 
 
 @settings(max_examples=25, deadline=None)
