@@ -27,7 +27,11 @@ Images enter as an (n, *image_dims) stack (a list of tensors or an
 copies them once into its stack, (n_voxels, n) with the samples fastest
 and each column in layer-digit order (``kron_ops.reshape_T``), where a
 chain is ``np.kron(vec(B_1), ..., vec(B_L))``: every contraction against
-a partial product is then one contiguous matmul.  ``fit`` splits each
+a partial product is then one contiguous matmul.  The copy reads the
+caller's images directly, zero-filling the padding of unpadded images of a
+padded structure, and from 32 MB on it runs on threads, one per CPU the
+process may use, started and joined within the call; a copy has no sums, so
+the stack's bytes do not depend on the thread count.  ``fit`` splits each
 sweep at a layer m, 1 when its upper products are not chains of factors
 (a cold fit's spectral seeds, reseeds).  At layer 1 the stack is
 contracted against every term's upper product of layers m+1..L, and after
@@ -48,6 +52,7 @@ import copy
 import itertools
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
@@ -90,6 +95,7 @@ __all__ = [
 
 COLLAPSE_TOL = 1e-12
 _STACK_TILE = (256, 512)
+_INLINE_STACK_BYTES = 32 << 20
 MANIFEST_NAME = "manifest.json"
 _MODEL_FORMAT = "dkn-model-v1"
 
@@ -272,36 +278,101 @@ def _vectorize_images(images, structure, padded_from=None):
     """The solver's image stack: a C-contiguous ``(n_voxels, n)`` array whose
     column i is image i at the structure's (padded) extents in layer-digit
     order, ``reshape_T(X_i, factor_dims).ravel()``, so that every
-    contraction of it is one contiguous matmul.  It is copied straight from
-    the images in tiles of ``_STACK_TILE`` (images, voxels), each a run of
-    voxels contiguous in the images' memory order, through a buffer whose
-    rows sit a cache line further apart than the run (so the images' lines
-    do not share cache sets) and one transposed-view assignment.
+    contraction of it is one contiguous matmul.
+
+    It is copied straight from the caller's images, unpadded ones of a padded
+    structure included, in tiles of ``_STACK_TILE`` (images, voxels).  A
+    tile's voxels are a run contiguous in the padded images' memory order, so
+    a box of them: the part of the box inside the caller's images is copied
+    into a buffer whose rows sit a cache line further apart than the run (so
+    the images' lines do not share cache sets), the rest of it is zeroed, and
+    one transposed-view assignment puts the tile in the stack.  The tiles are
+    split among ``_stack_workers`` threads (the caller's alone below 32 MB),
+    each with its own buffer; a copy has no sums, so the stack's bytes do not
+    depend on their number.
     """
     x, unpadded = _image_stack(images, structure, padded_from)
-    if unpadded:
-        x = pad_images(x, padded_from, structure.image_dims)
     n, v, fd = x.shape[0], structure.n_voxels, structure.factor_dims
     order = _memory_order(x)
+    modes = (0, 1, 2) if order == "C" else (2, 1, 0)  # the images' slowest mode first
     # One axis per (mode, layer) digit of extent > 1, in the stack's order and
-    # in the images' (slowest mode first); a mode's layer-1 digit is its slowest.
+    # in the images' memory order; a mode's layer-1 digit is its slowest.
     digits = [(m, l) for l in range(len(fd)) for m in (2, 1, 0) if fd[l][m] > 1]
-    mem = sorted(digits, key=lambda a: (a[0] if order == "C" else -a[0], a[1]))
+    mem = [(m, l) for m in modes for l in range(len(fd)) if fd[l][m] > 1]
     extent = [fd[l][m] for m, l in mem]
     out = np.empty((v, n))
     dst = out.reshape([fd[l][m] for m, l in digits] + [n])
     dst = dst.transpose([digits.index(a) for a in mem] + [len(mem)])
-    rows = x.reshape(n, v, order=order).reshape([n] + extent)
+    src = _triple(padded_from if unpadded else structure.image_dims)
+    box = x.reshape(n, -1, order=order).reshape([n] + [src[m] for m in modes])
     bs, run, j = _STACK_TILE[0], v, 0
     while run > _STACK_TILE[1]:  # fix the slowest memory digits: one run per tile
         run //= extent[j]
         j += 1
-    buf = np.empty((bs, run + 8))[:, :run]
-    for s, outer in itertools.product(range(0, n, bs), np.ndindex(*extent[:j])):
-        tile = buf[: min(bs, n - s)].reshape([-1] + extent[j:])
-        tile[...] = rows[(slice(s, s + bs),) + outer]
-        dst[outer + (..., slice(s, s + bs))] = np.moveaxis(tile, 0, -1)
+    # A tile's run spans, per mode, the box of its free digits, and starts
+    # where its fixed digits place it.
+    width = [math.prod(fd[l][m] for m, l in mem[j:] if m == mode) for mode in modes]
+    place = [(modes.index(m), math.prod(fd[k][m] for k in range(l + 1, len(fd))))
+             for m, l in mem[:j]]
+    tiles = [(s, outer) for outer in np.ndindex(*extent[:j]) for s in range(0, n, bs)]
+
+    def copy_tiles(part):
+        buf = np.empty((bs, run + 8))[:, :run]
+        for s, outer in part:
+            b = min(bs, n - s)
+            tile = buf[:b].reshape([b] + width)
+            start = [0, 0, 0]
+            for (axis, step), i in zip(place, outer):
+                start[axis] += i * step
+            inside = box[(slice(s, s + b),) + tuple(slice(a, a + w) for a, w in zip(start, width))]
+            if inside.shape != tile.shape:  # a box that crosses the padding
+                tile[...] = 0
+            tile[tuple(slice(0, e) for e in inside.shape)] = inside
+            dst[outer + (..., slice(s, s + b))] = np.moveaxis(
+                tile.reshape([b] + extent[j:]), 0, -1)
+
+    # An outer index's tiles fill its stack rows whole, one sample block after
+    # another; each thread takes one run of consecutive tiles.
+    k = max(1, min(_stack_workers(out.nbytes), len(tiles)))
+    _in_threads(copy_tiles, [tiles[len(tiles) * i // k:len(tiles) * (i + 1) // k]
+                             for i in range(k)])
     return out
+
+
+def _stack_workers(nbytes):
+    """Threads that copy a solver stack of ``nbytes``: one, the caller's, below
+    ``_INLINE_STACK_BYTES``; otherwise one per CPU this process may run on."""
+    if nbytes < _INLINE_STACK_BYTES:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _in_threads(fn, parts):
+    """``fn(part)`` for every part: the first on the calling thread, each other
+    on a thread started here.  Every thread is joined before this returns,
+    and the first exception raised, the caller's own first, is re-raised."""
+    errors = []
+
+    def run(part):
+        try:
+            fn(part)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(part,)) for part in parts[1:]]
+    try:
+        for t in threads:
+            t.start()
+        fn(parts[0])
+    finally:
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+    if errors:
+        raise errors[0]
 
 
 def _memory_order(x):

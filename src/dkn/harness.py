@@ -16,6 +16,7 @@ N(0.1, 0.1) outside, where the second parameter is the variance.
 """
 
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -267,7 +268,19 @@ class ExperimentConfig:
     run_ridge: bool = True
 
     def __post_init__(self):
-        # FitOptions' own checks, so a bad value is refused before any data exist.
+        # Entry types, then FitOptions' own checks: a bad value is refused,
+        # named, before any data exist.
+        dims = self.image_dims
+        if not isinstance(dims, (tuple, list)) or not all(_is_number(d, Integral) for d in dims):
+            raise DimensionError(f"image_dims must be a list of integers, got {dims!r}")
+        for name in ("n_train", "rank", "depth", "n_reps", "seed", "max_sweeps"):
+            value = getattr(self, name)
+            if not (_is_number(value, Integral) or (name == "depth" and value is None)):
+                raise DimensionError(f"{name} must be an integer, got {value!r}")
+        for name in ("noise_sd", "tol"):
+            value = getattr(self, name)
+            if not _is_number(value, Real):
+                raise DimensionError(f"{name} must be a number, got {value!r}")
         FitOptions(max_sweeps=self.max_sweeps, tol=self.tol)
 
     @property
@@ -309,6 +322,12 @@ class ExperimentConfig:
         )
         d["image_dims"] = tuple(d.get("image_dims", (32, 32)))
         return cls(signal=spec, **d)
+
+
+def _is_number(value, kind):
+    """Whether ``value`` is a number of ``kind`` (``Integral`` or ``Real``),
+    a bool not counting as one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _structure_for(cfg):

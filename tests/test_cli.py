@@ -304,6 +304,11 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         assert main(["fit", "--images", imgdir, "--y", good_y, "--out", str(tmp_path / "m"),
                      "--structure", str(structure)]) == 2, name
         assert str(structure) in capsys.readouterr().err, name
+    for entry, value in [("n_train", "x"), ("image_dims", "ab"), ("noise_sd", None),
+                         ("rank", "2")]:
+        write_config(cfg, **{entry: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert entry in capsys.readouterr().err, entry
     write_config(cfg, signal="x")
     truncated = tmp_path / "truncated.json"
     truncated.write_text("{")

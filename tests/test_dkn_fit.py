@@ -1,8 +1,11 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
@@ -45,7 +48,7 @@ from dkn.errors import (
 )
 from dkn.glm import BERNOULLI, GAUSSIAN, IRLS_GRAD_TOL, default_ridge, fit_glm, nll_eta
 from dkn.kron_ops import compose_coeff, kron_chain, reshape_R_indices, reshape_T, tkp
-from dkn.tensor_core import dist, inner, unvec, vec, write_dkt
+from dkn.tensor_core import dist, inner, read_dkt_stack, unvec, vec, write_dkt
 
 S883 = DknStructure(image_dims=(8, 8), factor_dims=[(2, 2), (2, 2), (2, 2)])
 
@@ -200,6 +203,147 @@ def test_vectorize_images_layouts():
             assert np.array_equal(stack[:, i], reshape_T(x[i], S883.factor_dims).ravel()), name
     with pytest.raises(DimensionError):
         _vectorize_images(rng.standard_normal((6, 8, 4)), S883)
+
+
+def serial_stack(images, structure, padded_from=None):
+    """The solver stack as the one-thread build made it, from a zero-padded
+    copy of unpadded images: the oracle for ``_vectorize_images``."""
+    x, unpadded = dkn_fit._image_stack(images, structure, padded_from)
+    if unpadded:
+        x = pad_images(x, padded_from, structure.image_dims)
+    n, v, fd = x.shape[0], structure.n_voxels, structure.factor_dims
+    order = dkn_fit._memory_order(x)
+    digits = [(m, l) for l in range(len(fd)) for m in (2, 1, 0) if fd[l][m] > 1]
+    mem = sorted(digits, key=lambda a: (a[0] if order == "C" else -a[0], a[1]))
+    extent = [fd[l][m] for m, l in mem]
+    out = np.empty((v, n))
+    dst = out.reshape([fd[l][m] for m, l in digits] + [n])
+    dst = dst.transpose([digits.index(a) for a in mem] + [len(mem)])
+    rows = x.reshape(n, v, order=order).reshape([n] + extent)
+    bs, run, j = 256, v, 0
+    while run > 512:
+        run //= extent[j]
+        j += 1
+    buf = np.empty((bs, run + 8))[:, :run]
+    for s, outer in itertools.product(range(0, n, bs), np.ndindex(*extent[:j])):
+        tile = buf[: min(bs, n - s)].reshape([-1] + extent[j:])
+        tile[...] = rows[(slice(s, s + bs),) + outer]
+        dst[outer + (..., slice(s, s + bs))] = np.moveaxis(tile, 0, -1)
+    return out
+
+
+def column_major(x):
+    """The images of ``x`` each stored column-major, samples slowest: the
+    layout ``read_dkt_stack`` returns."""
+    axes = [0] + list(range(x.ndim - 1, 0, -1))
+    return np.ascontiguousarray(x.transpose(axes)).transpose(axes)
+
+
+# Image extents of order 1..3, each with a padded counterpart: 1500 carries
+# a 5, 23 is prime, 45 = 9*5 and 10 = 2*5, so auto_structure pads them.
+_STACK_DIMS = [(2048,), (48, 32), (12, 8, 16), (1500,), (23, 45), (7, 12, 10)]
+
+
+def test_column_major_is_the_dkt_stack_layout(tmp_path):
+    x = np.random.default_rng(0).standard_normal((2, 3, 4, 5))
+    paths = [tmp_path / f"{i}.dkt" for i in range(2)]
+    for p, t in zip(paths, x):
+        write_dkt(p, t)
+    got = read_dkt_stack(paths)
+    assert got.strides == column_major(x).strides and np.array_equal(got, x)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("dims", _STACK_DIMS, ids=str)
+def test_solver_stack_matches_the_serial_oracle(monkeypatch, dims, workers):
+    """The stack is the serial build's byte for byte, for C-ordered and
+    column-major images, padded or not, at any worker count, more workers
+    than cores included, with threads switched as often as possible."""
+    monkeypatch.setattr(dkn_fit, "_stack_workers", lambda nbytes: workers)
+    structure, padded_from = auto_structure(dims)
+    assert (padded_from is not None) == (dims in _STACK_DIMS[3:])
+    rng = np.random.default_rng(len(dims) + workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (1, 255, 256, 257):
+            x = rng.standard_normal((n,) + dims)
+            for images in (x, column_major(x)):
+                want = serial_stack(images, structure, padded_from)
+                got = _vectorize_images(images, structure, padded_from)
+                assert got.flags.c_contiguous, (n, images.strides)
+                assert got.tobytes() == want.tobytes(), (n, images.strides)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_solver_stack_of_32_mb_matches_the_serial_oracle():
+    """A stack of at least 32 MB is built on every CPU the process may use
+    (inline on one), and is still the serial build's byte for byte."""
+    structure, padded_from = auto_structure((91, 109))
+    x = np.random.default_rng(3).standard_normal((257, 91, 109))
+    got = _vectorize_images(x, structure, padded_from)
+    assert got.nbytes >= dkn_fit._INLINE_STACK_BYTES
+    assert dkn_fit._stack_workers(got.nbytes) == len(os.sched_getaffinity(0))
+    assert dkn_fit._stack_workers(dkn_fit._INLINE_STACK_BYTES - 8) == 1
+    assert got.tobytes() == serial_stack(x, structure, padded_from).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dims", [(91, 109), (12, 13, 11)], ids=str)
+def test_solver_stack_peaks_at_one_stack_for_unpadded_images(monkeypatch, dims, workers):
+    """Unpadded images of a padded structure get no padded copy: the build
+    peaks at the stack plus one tile buffer per worker, where a padded copy
+    first would peak at about two stacks."""
+    monkeypatch.setattr(dkn_fit, "_stack_workers", lambda nbytes: workers)
+    structure, padded_from = auto_structure(dims)
+    x = np.random.default_rng(4).standard_normal((-(-(1 << 20) // structure.n_voxels),) + dims)
+    tile_bytes = dkn_fit._STACK_TILE[0] * (dkn_fit._STACK_TILE[1] + 8) * 8
+    tracemalloc.start()
+    try:
+        stack = _vectorize_images(x, structure, padded_from)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.nbytes >= 8 << 20
+    assert peak < stack.nbytes + workers * tile_bytes + (64 << 10), (peak, stack.nbytes)
+
+
+def test_stack_threads_end_with_the_call(monkeypatch):
+    """``fit`` and ``scan_rank`` leave no thread behind, and a copy that
+    raises on a worker thread (or on the caller's) surfaces in the caller
+    after every thread has been joined."""
+    monkeypatch.setattr(dkn_fit, "_stack_workers", lambda nbytes: 3)
+    started = []
+    run_parts = dkn_fit._in_threads
+
+    def counted(fn, parts):
+        started.append(len(parts))
+        return run_parts(fn, parts)
+
+    monkeypatch.setattr(dkn_fit, "_in_threads", counted)
+    structure = DknStructure(image_dims=(32, 32), factor_dims=[(2, 2), (4, 4), (4, 4)])
+    images, y, _, _ = noiseless_problem(6, 300, structure)
+    before = threading.active_count()
+    fit(images, y, structure, options=FitOptions(max_sweeps=3))
+    scan_rank(images, y, structure, [1, 2], options=FitOptions(max_sweeps=3))
+    assert started == [3, 3]
+    assert threading.active_count() == before
+
+    caller = threading.current_thread()
+    for failing in ("worker", "caller"):
+        def copy_or_fail(fn, parts):
+            def copy(part):
+                on_caller = threading.current_thread() is caller
+                if on_caller == (failing == "caller"):
+                    raise MemoryError(failing)
+                fn(part)
+            return run_parts(copy, parts)
+
+        monkeypatch.setattr(dkn_fit, "_in_threads", copy_or_fail)
+        with pytest.raises(MemoryError, match=failing):
+            _vectorize_images(images, structure)
+        assert threading.active_count() == before
 
 
 def test_weighted_sum_is_the_stack_adjoint_for_every_layout():
