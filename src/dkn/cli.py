@@ -348,10 +348,9 @@ def cmd_diagnose(args):
         raise DimensionError(
             f"{args.y} has {y.shape[0]} rows but {args.images} has {images.shape[0]} images"
         )
-    if model.padded_from is not None:
-        images = pad_images(images, model.padded_from, structure.image_dims)
 
-    probe = probe_rip(images, structure, n_probes=args.probes, seed=args.seed)
+    probe = probe_rip(images, structure, n_probes=args.probes, seed=args.seed,
+                      padded_from=model.padded_from)
     result = {
         "delta_hat": probe.delta_hat,
         "constants": None,
@@ -389,19 +388,21 @@ def _diagnose_theory(args, model, images, y, delta_hat, result):
         return "initialization distance is measured for rank-1 structures only"
 
     try:
-        mu = measure_mu(images, y, truth, structure)
+        mu = measure_mu(images, y, truth, structure, model.padded_from)
     except DegenerateDataError as exc:
         return f"initialization distance unavailable: {exc}"
     t3 = np.asarray(truth, dtype=np.float64).reshape(structure.dims3, order="F")
-    noise = y - get_family(model.family).mean(_inner_products(images, t3, structure))
-    tau0 = probe_tau0(images, noise, structure, n_probes=args.probes, seed=args.seed)
+    eta = _inner_products(images, t3, structure, model.padded_from)
+    noise = y - get_family(model.family).mean(eta)
+    tau0 = probe_tau0(images, noise, structure, n_probes=args.probes, seed=args.seed,
+                      padded_from=model.padded_from)
     constants = theory_constants(delta_hat, mu, tau0, fro_norm(truth), structure.depth)
     result["constants"] = asdict(constants)
     result["condition_met"] = constants.condition_met
 
     refit_options = FitOptions(seed=args.seed, trace_truth=t3, center_response=False)
     _, report = fit(images, y, structure, family=model.family, options=refit_options,
-                    padded_from=None)
+                    padded_from=model.padded_from)
     verdict = verify_decay(report.dist_trace, constants, t_start=1)
     result["decay_verdict"] = verdict.to_dict()
     return None

@@ -95,7 +95,7 @@ def _random_chains(structure, g, n_terms):
     return chains
 
 
-def probe_rip(images, structure, n_probes=50, seed=0):
+def probe_rip(images, structure, n_probes=50, seed=0, padded_from=None):
     """Monte Carlo lower bound on the design's restricted-isometry constant.
 
     Each probe draws a rank-2 sum of Kronecker chains C, computes
@@ -109,12 +109,15 @@ def probe_rip(images, structure, n_probes=50, seed=0):
     dropped, so every probe is computed in a block of the same width
     whatever ``n_probes`` is, and its ratio has the same bits.
     Pixels are not checked: a non-finite pixel makes every ratio, and so
-    ``delta_hat``, non-finite.
+    ``delta_hat``, non-finite.  ``padded_from`` is as in
+    :func:`dkn_fit.fit`: unpadded images of a padded structure are read
+    where they lie, against each probe's crop to their extents, while
+    |C|_F stays the norm of the whole probe.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     if n_probes < 1:
         raise DimensionError("need at least one probe")
-    x, _ = _image_stack(images, structure)
+    x, _ = _image_stack(images, structure, padded_from)
     L = structure.depth
     canonical = _digits(structure, 1, L)
     ratios = []
@@ -132,7 +135,8 @@ def probe_rip(images, structure, n_probes=50, seed=0):
         coeffs[canonical] = np.stack(
             [_lower_product(c[0], L) + _lower_product(c[1], L) for c in block], axis=-1
         )
-        etas = _inner_products(x, coeffs.reshape(structure.dims3 + (-1,), order="F"), structure)
+        etas = _inner_products(x, coeffs.reshape(structure.dims3 + (-1,), order="F"), structure,
+                               padded_from)
         for b in range(min(_PROBE_BLOCK, n_probes - j0)):
             c2 = float(np.sum(coeffs[:, b] * coeffs[:, b]))
             if c2 == 0.0:
@@ -151,7 +155,7 @@ def probe_rip(images, structure, n_probes=50, seed=0):
     )
 
 
-def probe_tau0(images, noise, structure, n_probes=50, seed=0):
+def probe_tau0(images, noise, structure, n_probes=50, seed=0, padded_from=None):
     """Monte Carlo lower bound on the noise-design interaction tau0.
 
     For random unit partial products at every layer, measures
@@ -159,17 +163,19 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0):
     solver uses, and returns the largest value seen.  The design is linear
     in the image, so sum_i eps_i X~_i is the design row of the aggregate
     image sum_i eps_i X_i: one pass over the images, in their own memory
-    order, serves every probe.
+    order, serves every probe.  ``padded_from`` is as in
+    :func:`dkn_fit.fit`: unpadded images are summed where they lie, and the
+    aggregate is zero beyond them.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     if n_probes < 1:
         raise DimensionError("need at least one probe")
     eps = np.asarray(noise, dtype=np.float64)
-    x, _ = _image_stack(images, structure)
+    x, _ = _image_stack(images, structure, padded_from)
     n = x.shape[0]
     if eps.shape != (n,):
         raise DimensionError("noise length does not match image count")
-    agg = _vectorize_images(_weighted_sum(x, eps, structure)[None], structure)
+    agg = _vectorize_images(_weighted_sum(x, eps, structure, padded_from)[None], structure)
     sizes = [
         (int(np.prod(structure.upper_extents(l + 1))), int(np.prod(structure.lower_extents(l - 1))))
         for l in range(1, structure.depth + 1)
@@ -216,14 +222,16 @@ def true_left_products(truth, structure):
     return out
 
 
-def measure_mu(images, response, truth, structure):
+def measure_mu(images, response, truth, structure, padded_from=None):
     """Worst initialization distance across layer products.
 
     Compares the spectral starting values against the true upper partial
     products of a rank-1 truth and returns the largest angular distance.
+    The truth is at the structure's extents; ``padded_from`` is as in
+    :func:`dkn_fit.fit` and applies to the images only.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
-    init = init_spectral(images, response, structure)
+    init = init_spectral(images, response, structure, padded_from)
     true_left = true_left_products(truth, structure)
     worst = 0.0
     for l in range(2, structure.depth + 1):

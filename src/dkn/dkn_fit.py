@@ -23,8 +23,10 @@ aggregate sum_i (y_i - mu_i) vec(X_i) reshaped at layer 2, factored by
 successive rank-1 SVDs.  Such a fit warm-starts sweep 1's solves as well.
 
 Images enter as an (n, *image_dims) stack (a list of tensors or an
-(n, prod(dims)) matrix of canonical vecs is also accepted).  The solver
-copies them once into its stack, (n_voxels, n) with the samples fastest
+(n, prod(dims)) matrix of canonical vecs is also accepted).  Unpadded
+images of a padded structure enter with ``padded_from``, here and in the
+diagnostics alike, and are read where they lie: no reader pads them.
+The solver copies them once into its stack, (n_voxels, n) with the samples fastest
 and each column in layer-digit order (``kron_ops.reshape_T``), where a
 chain is ``np.kron(vec(B_1), ..., vec(B_L))``: every contraction against
 a partial product is then one contiguous matmul.  The copy reads the
@@ -52,8 +54,8 @@ import copy
 import itertools
 import math
 import os
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
@@ -230,10 +232,11 @@ def auto_structure(image_dims, rank=1):
     """Deepest structure, zero-padding awkward extents to a power of two.
 
     An extent whose prime ladder contains a prime larger than 3 is padded
-    to the next power of two before factorization (images must then be
-    zero-padded to match; see :func:`pad_images`).  Returns
+    to the next power of two before factorization.  Returns
     ``(structure, padded_from)`` where ``padded_from`` is the original
-    extent tuple, or None when no padding was needed.
+    extent tuple, or None when no padding was needed.  Every function that
+    takes images and ``padded_from`` reads the original images where they
+    lie, as if zero-padded; :func:`pad_images` makes the padded copy.
     """
     dims = tuple(int(d) for d in image_dims)
     padded = tuple(
@@ -258,8 +261,12 @@ def pad_images(images, from_dims, to_dims):
 
 def _image_stack(images, structure, padded_from=None):
     """The images as one float64 array in their own memory order, and
-    whether they are the unpadded originals of a padded structure.  Accepted
-    extents: ``padded_from``, image_dims, dims3, or one canonical vec."""
+    ``src``, the extent triple their voxels span: ``padded_from`` for the
+    unpadded originals of a padded structure, else the structure's dims3.
+    Accepted extents: ``padded_from``, image_dims, dims3, or one canonical
+    vec.  Every reader of images takes them from here and none pads them:
+    their voxels are the low corner ``src`` of the structure's extents, and
+    the voxels beyond it are zero."""
     if isinstance(images, (list, tuple)):
         images = np.stack([np.asarray(t, dtype=np.float64) for t in images])
     x = np.asarray(images, dtype=np.float64)
@@ -267,9 +274,9 @@ def _image_stack(images, structure, padded_from=None):
         raise DimensionError("expected a stack of images")
     shape = x.shape[1:]
     if padded_from is not None and shape == tuple(padded_from):
-        return x, True
+        return x, _triple(padded_from)
     if shape in (structure.image_dims, structure.dims3, (structure.n_voxels,)):
-        return x, False
+        return x, structure.dims3
     expect = tuple(padded_from) if padded_from is not None else structure.image_dims
     raise DimensionError(f"image extents {shape} do not match the structure's {expect}")
 
@@ -287,11 +294,11 @@ def _vectorize_images(images, structure, padded_from=None):
     into a buffer whose rows sit a cache line further apart than the run (so
     the images' lines do not share cache sets), the rest of it is zeroed, and
     one transposed-view assignment puts the tile in the stack.  The tiles are
-    split among ``_stack_workers`` threads (the caller's alone below 32 MB),
-    each with its own buffer; a copy has no sums, so the stack's bytes do not
-    depend on their number.
+    split among ``_stack_workers`` threads of a pool made for the call (below
+    32 MB they are copied inline), each with its own buffer; a copy has no
+    sums, so the stack's bytes do not depend on their number.
     """
-    x, unpadded = _image_stack(images, structure, padded_from)
+    x, src = _image_stack(images, structure, padded_from)
     n, v, fd = x.shape[0], structure.n_voxels, structure.factor_dims
     order = _memory_order(x)
     modes = (0, 1, 2) if order == "C" else (2, 1, 0)  # the images' slowest mode first
@@ -303,7 +310,6 @@ def _vectorize_images(images, structure, padded_from=None):
     out = np.empty((v, n))
     dst = out.reshape([fd[l][m] for m, l in digits] + [n])
     dst = dst.transpose([digits.index(a) for a in mem] + [len(mem)])
-    src = _triple(padded_from if unpadded else structure.image_dims)
     box = x.reshape(n, -1, order=order).reshape([n] + [src[m] for m in modes])
     bs, run, j = _STACK_TILE[0], v, 0
     while run > _STACK_TILE[1]:  # fix the slowest memory digits: one run per tile
@@ -332,10 +338,15 @@ def _vectorize_images(images, structure, padded_from=None):
                 tile.reshape([b] + extent[j:]), 0, -1)
 
     # An outer index's tiles fill its stack rows whole, one sample block after
-    # another; each thread takes one run of consecutive tiles.
+    # another; each thread takes one run of consecutive tiles.  The pool's
+    # ``with`` joins every thread, so none outlives the call.
     k = max(1, min(_stack_workers(out.nbytes), len(tiles)))
-    _in_threads(copy_tiles, [tiles[len(tiles) * i // k:len(tiles) * (i + 1) // k]
-                             for i in range(k)])
+    if k == 1:
+        copy_tiles(tiles)
+    else:
+        with ThreadPoolExecutor(k) as pool:
+            list(pool.map(copy_tiles, [tiles[len(tiles) * i // k:len(tiles) * (i + 1) // k]
+                                       for i in range(k)]))
     return out
 
 
@@ -348,31 +359,6 @@ def _stack_workers(nbytes):
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         return os.cpu_count() or 1
-
-
-def _in_threads(fn, parts):
-    """``fn(part)`` for every part: the first on the calling thread, each other
-    on a thread started here.  Every thread is joined before this returns,
-    and the first exception raised, the caller's own first, is re-raised."""
-    errors = []
-
-    def run(part):
-        try:
-            fn(part)
-        except BaseException as exc:  # re-raised in the caller below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(part,)) for part in parts[1:]]
-    try:
-        for t in threads:
-            t.start()
-        fn(parts[0])
-    finally:
-        for t in threads:
-            if t.ident is not None:
-                t.join()
-    if errors:
-        raise errors[0]
 
 
 def _memory_order(x):
@@ -390,23 +376,22 @@ def _inner_products(images, coeff, structure, padded_from=None):
     column-major tensors (as read from DKT1 files) against vec(C), and
     unpadded images of a padded structure against the cropped coefficient.
     """
-    x, unpadded = _image_stack(images, structure, padded_from)
+    x, src = _image_stack(images, structure, padded_from)
     batch = np.shape(coeff)[3:]
-    c = np.reshape(coeff, structure.dims3 + batch, order="F")
-    if unpadded:
-        c = c[tuple(slice(0, e) for e in _triple(padded_from))]
+    c = np.reshape(coeff, structure.dims3 + batch, order="F")[tuple(slice(0, e) for e in src)]
     order = _memory_order(x)
     return x.reshape(x.shape[0], -1, order=order) @ np.reshape(c, (-1,) + batch, order=order)
 
 
 def _weighted_sum(images, w, structure, padded_from=None):
-    """sum_i w_i vec(X_i) at the structure's extents, the adjoint of
-    :func:`_inner_products`: summed in the images' own memory order, so no
-    stack is built.  A non-finite sum is traced to the first image with a
-    non-finite pixel (which spoils the sum even where its weight is 0) and
-    raised as a DimensionError naming it; otherwise it is returned as is.
+    """sum_i w_i vec(X_i) at the structure's extents, zero beyond the images'
+    own voxels, the adjoint of :func:`_inner_products`: summed in the
+    images' own memory order, so no stack is built.  A non-finite sum is
+    traced to the first image with a non-finite pixel (which spoils the sum
+    even where its weight is 0) and raised as a DimensionError naming it;
+    otherwise it is returned as is.
     """
-    x, unpadded = _image_stack(images, structure, padded_from)
+    x, src = _image_stack(images, structure, padded_from)
     order = _memory_order(x)
     rows = x.reshape(x.shape[0], -1, order=order)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -415,10 +400,9 @@ def _weighted_sum(images, w, structure, padded_from=None):
         bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
         if bad.size:
             raise DimensionError(f"image {bad[0]} has a non-finite pixel")
-    agg = np.reshape(agg, x.shape[1:], order=order)
-    if unpadded:
-        agg = pad_images(agg[None], padded_from, structure.image_dims)[0]
-    return np.reshape(agg, -1, order="F")
+    out = np.zeros(structure.dims3, order="F")
+    out[tuple(slice(0, e) for e in src)] = np.reshape(agg, src, order=order)
+    return np.reshape(out, -1, order="F")
 
 
 @dataclass
@@ -565,15 +549,16 @@ def _spectral_seeds(agg, structure):
     return left, pools
 
 
-def init_spectral(images, response, structure):
+def init_spectral(images, response, structure, padded_from=None):
     """Spectral starting values: for each layer boundary l = 2..L, the top-R
     left singular vectors of the response-weighted image aggregate reshaped
-    against the composed upper extents.
+    against the composed upper extents.  ``padded_from`` is as in
+    :func:`fit`: unpadded images are summed where they lie.
 
     Returns {l: [R unit vectors]} including the convention entry at L+1
     (all-ones scalars).
     """
-    left, _ = _spectral_seeds(_weighted_sum(images, response, structure), structure)
+    left, _ = _spectral_seeds(_weighted_sum(images, response, structure, padded_from), structure)
     return left
 
 

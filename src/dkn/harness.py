@@ -288,25 +288,8 @@ class ExperimentConfig:
         return self.n_train // 4
 
     def to_dict(self):
-        d = {
-            "image_dims": list(self.image_dims),
-            "n_train": self.n_train,
-            "signal": {
-                "shape": self.signal.shape,
-                "kind": self.signal.kind,
-                "circles": None if self.signal.circles is None
-                else [list(c) for c in self.signal.circles],
-            },
-            "family": self.family,
-            "noise_sd": self.noise_sd,
-            "rank": self.rank,
-            "depth": self.depth,
-            "n_reps": self.n_reps,
-            "seed": self.seed,
-            "max_sweeps": self.max_sweeps,
-            "tol": self.tol,
-            "run_ridge": self.run_ridge,
-        }
+        d = _sanitize(asdict(self))
+        del d["signal"]["mask"]  # custom masks are not part of the JSON config
         return d
 
     @classmethod

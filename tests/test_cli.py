@@ -481,6 +481,48 @@ def test_diagnose_flags_non_rank1_truth(tmp_path):
     assert any("initialization distance unavailable" in note for note in d["notes"])
 
 
+def test_diagnose_pads_no_image_stack_of_a_padded_model(tmp_path, monkeypatch):
+    """``dkn diagnose`` on a padded 3-D model reads the training images
+    where they lie: it runs its full path, and the only image it pads is the
+    one-image truth.  Its delta_hat is the padded copy's to rounding."""
+    from dkn import cli, dkn_fit
+    from dkn.diagnostics import probe_rip
+
+    dims, n = (4, 15, 4), 500
+    structure, padded_from = auto_structure(dims)
+    assert padded_from == dims
+    x = rng.stream(33, rng.PURPOSE_IMAGES, 0).standard_normal((n,) + dims)
+    truth = np.zeros(dims)
+    truth[:2, :2, :2] = 1.0
+    eps = rng.stream(33, rng.PURPOSE_RESPONSES, 0).standard_normal(n)
+    imgdir = tmp_path / "images"
+    imgdir.mkdir()
+    for i, img in enumerate(x):
+        write_dkt(str(imgdir / f"img_{i:05d}.dkt"), img)
+    write_responses(tmp_path / "y.csv", x.reshape(n, -1) @ truth.ravel() + 0.05 * eps)
+    write_dkt(str(tmp_path / "truth.dkt"), truth)
+    model_dir, out = tmp_path / "model", tmp_path / "diag.json"
+    assert main(["fit", "--images", str(imgdir), "--y", str(tmp_path / "y.csv"),
+                 "--out", str(model_dir), "--no-center"]) == 0
+
+    padded, pad = [], dkn_fit.pad_images
+
+    def spy(images, from_dims, to_dims):
+        padded.append(np.shape(images)[0])
+        return pad(images, from_dims, to_dims)
+
+    monkeypatch.setattr(cli, "pad_images", spy)
+    monkeypatch.setattr(dkn_fit, "pad_images", spy)
+    assert main(["diagnose", "--model", str(model_dir), "--images", str(imgdir),
+                 "--y", str(tmp_path / "y.csv"), "--truth", str(tmp_path / "truth.dkt"),
+                 "--probes", "10", "--out", str(out)]) == 0
+    assert padded == [1]
+    d = json.loads(out.read_text())
+    assert d["notes"] == [] and d["constants"] is not None and d["decay_verdict"] is not None
+    want = probe_rip(pad(x, dims, structure.image_dims), structure, n_probes=10).delta_hat
+    assert_allclose(d["delta_hat"], want, rtol=1e-12)
+
+
 # the subcommands the README documents for the `dkn` console script
 SUBCOMMANDS = ("simulate", "fit", "scan-rank", "predict", "check-equivalence", "diagnose")
 

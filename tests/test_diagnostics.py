@@ -30,6 +30,7 @@ from dkn.dkn_fit import (
     auto_structure,
     build_design,
     fit,
+    init_spectral,
     normalize,
     pad_images,
     partial_products,
@@ -537,13 +538,14 @@ def test_probe_tau0_does_not_depend_on_rank():
 
 def test_probe_tau0_matches_per_image_designs():
     """tau0 from the noise-weighted aggregate image equals the value from
-    each probe's full (n, k) design, for 2-D and padded 3-D stacks."""
+    each probe's full (n, k) design, for 2-D and padded 3-D stacks; on the
+    padded structure, the unpadded images with ``padded_from`` give it as
+    well."""
     for dims, n in (((8, 8), 50), ((5, 4, 6), 30)):
         structure, padded_from = auto_structure(dims)
         g = rng.stream(24, rng.PURPOSE_IMAGES, 0)
-        images = g.standard_normal((n,) + dims)
-        if padded_from is not None:
-            images = pad_images(images, padded_from, structure.image_dims)
+        raw = g.standard_normal((n,) + dims)
+        images = raw if padded_from is None else pad_images(raw, padded_from, structure.image_dims)
         eps = rng.stream(24, rng.PURPOSE_RESPONSES, 0).standard_normal(n)
         want = 0.0
         for j in range(6):
@@ -554,7 +556,10 @@ def test_probe_tau0_matches_per_image_designs():
                 design = build_design(images, structure, l, [u / np.linalg.norm(u)],
                                       [w / np.linalg.norm(w)])
                 want = max(want, float(np.linalg.norm(design.T @ eps)) / n)
-        assert_allclose(probe_tau0(images, eps, structure, n_probes=6, seed=3), want, rtol=1e-12)
+        got = probe_tau0(images, eps, structure, n_probes=6, seed=3)
+        assert_allclose(got, want, rtol=1e-12)
+        if padded_from is not None:
+            assert probe_tau0(raw, eps, structure, n_probes=6, seed=3, padded_from=padded_from) == got
 
 
 def _tau0_digit_map_oracle(images, noise, structure, n_probes, seed):
@@ -601,19 +606,28 @@ def _tau0_digit_map_oracle(images, noise, structure, n_probes, seed):
 )
 def test_probe_tau0_matches_the_digit_map_oracle_bitwise(dims, factor_dims):
     """Both routes give the same bytes, at every depth and on a padded
-    structure, in either memory order of the images."""
+    structure, in either memory order of the images.  The unpadded images
+    of a padded structure, read with ``padded_from``, give the oracle's
+    bytes of their padded copy when C-ordered, and agree to rounding when
+    column-major, whose sums run in another order."""
     if factor_dims is None:
         structure, padded_from = auto_structure(dims)
     else:
         structure, padded_from = DknStructure(dims, factor_dims), None
     g = rng.stream(25, rng.PURPOSE_IMAGES, 0)
-    images = g.standard_normal((30,) + dims)
-    if padded_from is not None:
-        images = pad_images(images, padded_from, structure.image_dims)
+    raw = g.standard_normal((30,) + dims)
+    images = raw if padded_from is None else pad_images(raw, padded_from, structure.image_dims)
     eps = rng.stream(25, rng.PURPOSE_RESPONSES, 0).standard_normal(30)
     for x in (images, np.asfortranarray(images)):
         want = _tau0_digit_map_oracle(x, eps, structure, n_probes=8, seed=4)
         assert probe_tau0(x, eps, structure, n_probes=8, seed=4) == want
+    if padded_from is not None:
+        want = _tau0_digit_map_oracle(images, eps, structure, n_probes=8, seed=4)
+        got = probe_tau0(raw, eps, structure, n_probes=8, seed=4, padded_from=padded_from)
+        assert got == want
+        got = probe_tau0(np.asfortranarray(raw), eps, structure, n_probes=8, seed=4,
+                         padded_from=padded_from)
+        assert_allclose(got, want, rtol=1e-12)
 
 
 def test_true_left_products_recovers_chain():
@@ -643,6 +657,33 @@ def test_measure_mu_exact_design_is_tiny():
     y = np.array([inner(x, coeff) for x in images])
     # exact moments leave only the angular metric's own rounding
     assert measure_mu(images, y, coeff, S883) <= 1e-7
+
+
+@pytest.mark.parametrize("dims", [(5, 4, 6), (23, 45)], ids=str)
+def test_diagnostics_read_unpadded_images_with_padded_from(dims):
+    """``probe_rip``, ``init_spectral`` and ``measure_mu`` read the unpadded
+    images of a padded structure where they lie: given ``padded_from``, C-
+    or column-major, they agree with their zero-padded copy to rounding
+    (the probes' inner products then skip the padding's zero terms)."""
+    structure, padded_from = auto_structure(dims)
+    assert padded_from == dims
+    g = rng.stream(30, rng.PURPOSE_IMAGES, 0)
+    raw = g.standard_normal((80,) + dims)
+    padded = pad_images(raw, padded_from, structure.image_dims)
+    truth = compose_coeff([[g.standard_normal(fd) for fd in structure.factor_dims]])
+    truth = truth.reshape(structure.image_dims, order="F")
+    y = padded.reshape(80, -1) @ truth.ravel()
+    want_rip = probe_rip(padded, structure, n_probes=30, seed=2).ratios
+    want_init = init_spectral(padded, y, structure)
+    want_mu = measure_mu(padded, y, truth, structure)
+    for x in (raw, np.asfortranarray(raw)):
+        got = probe_rip(x, structure, n_probes=30, seed=2, padded_from=padded_from).ratios
+        assert_allclose(got, want_rip, rtol=1e-12)
+        got = init_spectral(x, y, structure, padded_from)
+        for l in range(2, structure.depth + 2):
+            assert_allclose(got[l][0], want_init[l][0], rtol=1e-12, atol=1e-14)
+        got = measure_mu(x, y, truth, structure, padded_from)
+        assert_allclose(got, want_mu, rtol=1e-12)
 
 
 # ----------------------------------------------- traced fit vs. the theory

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import reduce
 
@@ -208,8 +209,8 @@ def test_vectorize_images_layouts():
 def serial_stack(images, structure, padded_from=None):
     """The solver stack as the one-thread build made it, from a zero-padded
     copy of unpadded images: the oracle for ``_vectorize_images``."""
-    x, unpadded = dkn_fit._image_stack(images, structure, padded_from)
-    if unpadded:
+    x, src = dkn_fit._image_stack(images, structure, padded_from)
+    if src != structure.dims3:
         x = pad_images(x, padded_from, structure.image_dims)
     n, v, fd = x.shape[0], structure.n_voxels, structure.factor_dims
     order = dkn_fit._memory_order(x)
@@ -310,18 +311,19 @@ def test_solver_stack_peaks_at_one_stack_for_unpadded_images(monkeypatch, dims, 
 
 
 def test_stack_threads_end_with_the_call(monkeypatch):
-    """``fit`` and ``scan_rank`` leave no thread behind, and a copy that
-    raises on a worker thread (or on the caller's) surfaces in the caller
-    after every thread has been joined."""
+    """``fit`` and ``scan_rank`` copy a large stack on a thread pool of the
+    call's own and leave no thread behind; a small one is copied inline; and
+    a copy that raises on a worker thread surfaces in the caller after every
+    thread has been joined."""
     monkeypatch.setattr(dkn_fit, "_stack_workers", lambda nbytes: 3)
     started = []
-    run_parts = dkn_fit._in_threads
 
-    def counted(fn, parts):
-        started.append(len(parts))
-        return run_parts(fn, parts)
+    class Counted(ThreadPoolExecutor):
+        def map(self, fn, parts):
+            started.append(len(parts))
+            return super().map(fn, parts)
 
-    monkeypatch.setattr(dkn_fit, "_in_threads", counted)
+    monkeypatch.setattr(dkn_fit, "ThreadPoolExecutor", Counted)
     structure = DknStructure(image_dims=(32, 32), factor_dims=[(2, 2), (4, 4), (4, 4)])
     images, y, _, _ = noiseless_problem(6, 300, structure)
     before = threading.active_count()
@@ -330,20 +332,26 @@ def test_stack_threads_end_with_the_call(monkeypatch):
     assert started == [3, 3]
     assert threading.active_count() == before
 
-    caller = threading.current_thread()
-    for failing in ("worker", "caller"):
-        def copy_or_fail(fn, parts):
-            def copy(part):
-                on_caller = threading.current_thread() is caller
-                if on_caller == (failing == "caller"):
-                    raise MemoryError(failing)
-                fn(part)
-            return run_parts(copy, parts)
+    monkeypatch.setattr(dkn_fit, "_stack_workers", lambda nbytes: 1)
+    fit(images, y, structure, options=FitOptions(max_sweeps=1))
+    assert started == [3, 3]
 
-        monkeypatch.setattr(dkn_fit, "_in_threads", copy_or_fail)
-        with pytest.raises(MemoryError, match=failing):
-            _vectorize_images(images, structure)
-        assert threading.active_count() == before
+    monkeypatch.setattr(dkn_fit, "_stack_workers", lambda nbytes: 3)
+    caller = threading.current_thread()
+
+    class Failing(ThreadPoolExecutor):
+        def map(self, fn, parts):
+            def copy(part):
+                assert threading.current_thread() is not caller
+                if part is parts[1]:
+                    raise MemoryError("worker")
+                fn(part)
+            return super().map(copy, parts)
+
+    monkeypatch.setattr(dkn_fit, "ThreadPoolExecutor", Failing)
+    with pytest.raises(MemoryError, match="worker"):
+        _vectorize_images(images, structure)
+    assert threading.active_count() == before
 
 
 def test_weighted_sum_is_the_stack_adjoint_for_every_layout():

@@ -268,6 +268,20 @@ def test_config_round_trips_and_derived_sizes():
         run_ridge=False,
     )
     d = cfg.to_dict()
+    assert d == {
+        "image_dims": [8, 8],
+        "n_train": 60,
+        "signal": {"shape": "one_circle", "kind": "sparse", "circles": [[3, 6, 1]]},
+        "family": "gaussian",
+        "noise_sd": 0.5,
+        "rank": 2,
+        "depth": 2,
+        "n_reps": 4,
+        "seed": 99,
+        "max_sweeps": 20,
+        "tol": 1e-6,
+        "run_ridge": False,
+    }
     assert ExperimentConfig.from_dict(d) == cfg
     d["metadata"] = {"written_by": "a previous run"}
     assert ExperimentConfig.from_dict(d) == cfg
