@@ -37,10 +37,8 @@ from .dkn_fit import (
     FitOptions,
     _inner_products,
     _parse_structure,
-    auto_structure,
     fit,
     load_model,
-    merge_to_depth,
     pad_images,
     predict,
     save_model,
@@ -54,7 +52,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .glm import get_family
-from .harness import ExperimentConfig, gen_images, gen_responses, gen_signal
+from .harness import ExperimentConfig, _draw, _metadata, _structure_for
 from .kron_ops import compose_coeff, conv_chain_eval, kron_chain, reshape_T, reshape_R, tkp
 from .tensor_core import _read_json, _write_json, fro_norm, inner, read_dkt, read_dkt_stack, vec
 from .tensor_core import write_dkt
@@ -146,24 +144,18 @@ def cmd_simulate(args):
         raise DataFormatError(f"{args.config}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
 
-    coeff = gen_signal(cfg.signal, cfg.image_dims, seed=cfg.seed)
-    x = gen_images(cfg.n_train, cfg.image_dims, seed=cfg.seed)
-    y = gen_responses(x, coeff, cfg.family, cfg.noise_sd, seed=cfg.seed)
+    coeff, (x, y), test = _draw(cfg, cfg.seed, cfg.n_test)
     write_dkt(os.path.join(args.out, "truth.dkt"), coeff)
     _write_images_dir(os.path.join(args.out, "images"), x)
     _write_csv(os.path.join(args.out, "y.csv"), ["id", "y"],
                [(i, _fmt(v)) for i, v in enumerate(y)])
-    if cfg.n_test > 0:
-        xt = gen_images(cfg.n_test, cfg.image_dims, seed=cfg.seed,
-                        purpose=rng.PURPOSE_TEST_IMAGES)
-        yt = gen_responses(xt, coeff, cfg.family, cfg.noise_sd, seed=cfg.seed,
-                           purpose=rng.PURPOSE_TEST_RESPONSES)
-        _write_images_dir(os.path.join(args.out, "test_images"), xt)
+    if test is not None:
+        _write_images_dir(os.path.join(args.out, "test_images"), test[0])
         _write_csv(os.path.join(args.out, "y_test.csv"), ["id", "y"],
-                   [(i, _fmt(v)) for i, v in enumerate(yt)])
-    echo = cfg.to_dict()
-    if cfg.signal.kind == "quasi_sparse":
-        echo["metadata"] = {"quasi_sparse_outside": {"mean": 0.1, "variance": 0.1}}
+                   [(i, _fmt(v)) for i, v in enumerate(test[1])])
+    echo, metadata = cfg.to_dict(), _metadata(cfg)
+    if metadata:
+        echo["metadata"] = metadata
     _write_json(os.path.join(args.out, "config.json"), echo)
     print(f"simulate: wrote {cfg.n_train} train + {cfg.n_test} test images to {args.out}")
     return EXIT_OK
@@ -171,10 +163,7 @@ def cmd_simulate(args):
 
 def _resolve_structure(image_dims, args, rank):
     if args.structure == "auto":
-        structure, padded_from = auto_structure(image_dims, rank=rank if rank else 1)
-        if args.depth is not None:
-            structure = merge_to_depth(structure, args.depth)
-        return structure, padded_from
+        return _structure_for(image_dims, rank if rank else 1, args.depth)
     if args.depth is not None:
         raise DimensionError("--depth applies only to --structure auto, not to a structure file")
     structure = _parse_structure(_read_json(args.structure), args.structure, rank)

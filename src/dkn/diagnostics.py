@@ -111,13 +111,14 @@ def probe_rip(images, structure, n_probes=50, seed=0, padded_from=None):
     Pixels are not checked: a non-finite pixel makes every ratio, and so
     ``delta_hat``, non-finite.  ``padded_from`` is as in
     :func:`dkn_fit.fit`: unpadded images of a padded structure are read
-    where they lie, against each probe's crop to their extents, while
-    |C|_F stays the norm of the whole probe.
+    where they lie, against each probe's crop to their extents, and |C|_F
+    is the norm of that crop, so the ratio measures the design on the
+    images' own voxels rather than the share of the probe they cover.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     if n_probes < 1:
         raise DimensionError("need at least one probe")
-    x, _ = _image_stack(images, structure, padded_from)
+    x, src = _image_stack(images, structure, padded_from)
     L = structure.depth
     canonical = _digits(structure, 1, L)
     ratios = []
@@ -135,10 +136,11 @@ def probe_rip(images, structure, n_probes=50, seed=0, padded_from=None):
         coeffs[canonical] = np.stack(
             [_lower_product(c[0], L) + _lower_product(c[1], L) for c in block], axis=-1
         )
-        etas = _inner_products(x, coeffs.reshape(structure.dims3 + (-1,), order="F"), structure,
-                               padded_from)
+        coeffs = coeffs.reshape(structure.dims3 + (-1,), order="F")
+        etas = _inner_products(x, coeffs, structure, padded_from)
+        inside = coeffs[tuple(slice(0, e) for e in src)]  # the voxels the images span
         for b in range(min(_PROBE_BLOCK, n_probes - j0)):
-            c2 = float(np.sum(coeffs[:, b] * coeffs[:, b]))
+            c2 = float(np.sum(inside[..., b] * inside[..., b]))
             if c2 == 0.0:
                 raise DegenerateDataError("probe drew a zero coefficient")
             ratio = float(np.sum(etas[:, b] ** 2)) / (x.shape[0] * c2)

@@ -189,24 +189,27 @@ def accuracy(predicted, actual, threshold=0.5):
     return float(np.mean((p >= threshold) == (a >= threshold)))
 
 
-def _ridge_solve(xs, y, lam):
-    n, m = xs.shape
-    if m <= n:
-        gram = xs.T @ xs
-        return np.linalg.solve(gram + lam * np.eye(m), xs.T @ y)
-    # Dual form: beta = X' (XX' + lam I)^-1 y, cheaper when m > n.
-    k = xs @ xs.T
-    return xs.T @ np.linalg.solve(k + lam * np.eye(n), y)
+def _ridge_path(xs, y):
+    """Ridge solutions along a lambda grid from one eigendecomposition of the
+    smaller Gram matrix: ``basis, evals, coords`` with
+    beta(lam) = basis @ (coords / (evals + lam)).  With at most as many
+    features as samples X'X = V E V', so the basis is V and the coords
+    V'X'y; otherwise XX' = U E U' and beta = X'(XX' + lam I)^-1 y, so the
+    basis is X'U and the coords U'y."""
+    if xs.shape[1] <= xs.shape[0]:
+        evals, v = np.linalg.eigh(xs.T @ xs)
+        return v, evals, v.T @ (xs.T @ y)
+    evals, u = np.linalg.eigh(xs @ xs.T)
+    return xs.T @ u, evals, u.T @ y
 
 
 def baseline_ridge(images, response, lambdas=None, n_folds=5):
     """Vectorized ridge regression with contiguous k-fold CV over lambda.
 
-    The response is centered (the mean acts as an intercept).  When the
-    feature count is at most the fold's sample count the primal system is
-    solved through a single eigendecomposition reused across the lambda
-    grid; otherwise the dual form is solved per lambda.  Returns
-    (coefficient image, intercept, chosen lambda).
+    The response is centered (the mean acts as an intercept).  Each CV
+    fold and the final fit eigendecompose the smaller of X'X and XX' once
+    and read the solution at every lambda off that one decomposition.
+    Returns (coefficient image, intercept, chosen lambda).
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim < 2:
@@ -231,23 +234,13 @@ def baseline_ridge(images, response, lambdas=None, n_folds=5):
         lo, hi = bounds[k], bounds[k + 1]
         mask = np.ones(n, dtype=bool)
         mask[lo:hi] = False
-        xtr, ytr = xs[mask], yc[mask]
-        xte, yte = xs[lo:hi], yc[lo:hi]
-        m = xtr.shape[1]
-        if m <= xtr.shape[0]:
-            evals, evecs = np.linalg.eigh(xtr.T @ xtr)
-            proj = evecs.T @ (xtr.T @ ytr)
-            for j, lam in enumerate(lambdas):
-                beta = evecs @ (proj / (evals + lam))
-                cv_err[j] += np.sum((xte @ beta - yte) ** 2)
-        else:
-            for j, lam in enumerate(lambdas):
-                beta = _ridge_solve(xtr, ytr, lam)
-                cv_err[j] += np.sum((xte @ beta - yte) ** 2)
-    best = int(np.argmin(cv_err))
-    lam = float(lambdas[best])
-    beta = _ridge_solve(xs, yc, lam)
-    return beta.reshape(image_dims), intercept, lam
+        basis, evals, coords = _ridge_path(xs[mask], yc[mask])
+        for j, lam in enumerate(lambdas):
+            beta = basis @ (coords / (evals + lam))
+            cv_err[j] += np.sum((xs[lo:hi] @ beta - yc[lo:hi]) ** 2)
+    lam = float(lambdas[int(np.argmin(cv_err))])
+    basis, evals, coords = _ridge_path(xs, yc)
+    return (basis @ (coords / (evals + lam))).reshape(image_dims), intercept, lam
 
 
 @dataclass(frozen=True)
@@ -313,11 +306,37 @@ def _is_number(value, kind):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _structure_for(cfg):
-    structure, padded_from = auto_structure(cfg.image_dims, rank=cfg.rank)
-    if cfg.depth is not None:
-        structure = merge_to_depth(structure, cfg.depth)
+def _structure_for(image_dims, rank, depth):
+    """``auto_structure``'s structure for the images, merged down to
+    ``depth`` layers when a depth is given, and its ``padded_from``."""
+    structure, padded_from = auto_structure(image_dims, rank=rank)
+    if depth is not None:
+        structure = merge_to_depth(structure, depth)
     return structure, padded_from
+
+
+def _draw(cfg, seed, n_test):
+    """One draw of the protocol at ``seed``: the truth, the training pair
+    (images, responses) and the test pair of ``n_test`` images, None when
+    ``n_test`` is 0.  Each part comes from its own purpose stream."""
+    coeff = gen_signal(cfg.signal, cfg.image_dims, seed=seed)
+    x = gen_images(cfg.n_train, cfg.image_dims, seed=seed)
+    train = (x, gen_responses(x, coeff, cfg.family, cfg.noise_sd, seed=seed))
+    if n_test == 0:
+        return coeff, train, None
+    xt = gen_images(n_test, cfg.image_dims, seed=seed, purpose=rng.PURPOSE_TEST_IMAGES)
+    yt = gen_responses(xt, coeff, cfg.family, cfg.noise_sd, seed=seed,
+                       purpose=rng.PURPOSE_TEST_RESPONSES)
+    return coeff, train, (xt, yt)
+
+
+def _metadata(cfg):
+    """The metadata block that results and echoed configs carry: for
+    quasi-sparse signals, the off-support noise convention, N(0.1, 0.1)
+    read as mean 0.1 with variance 0.1 (sd = sqrt(0.1)); else empty."""
+    if cfg.signal.kind != "quasi_sparse":
+        return {}
+    return {"quasi_sparse_outside": {"mean": 0.1, "variance": 0.1}}
 
 
 @dataclass
@@ -338,15 +357,8 @@ class RepetitionResult:
 
 def run_repetition(cfg, rep_seed, rep=0):
     """One full draw-fit-score cycle at the given repetition seed."""
-    coeff = gen_signal(cfg.signal, cfg.image_dims, seed=rep_seed)
-    x_train = gen_images(cfg.n_train, cfg.image_dims, seed=rep_seed)
-    y_train = gen_responses(x_train, coeff, cfg.family, cfg.noise_sd, seed=rep_seed)
-    x_test = gen_images(max(cfg.n_test, 1), cfg.image_dims, seed=rep_seed,
-                        purpose=rng.PURPOSE_TEST_IMAGES)
-    y_test = gen_responses(x_test, coeff, cfg.family, cfg.noise_sd, seed=rep_seed,
-                           purpose=rng.PURPOSE_TEST_RESPONSES)
-
-    structure, padded_from = _structure_for(cfg)
+    coeff, (x_train, y_train), (x_test, y_test) = _draw(cfg, rep_seed, max(cfg.n_test, 1))
+    structure, padded_from = _structure_for(cfg.image_dims, cfg.rank, cfg.depth)
     options = FitOptions(max_sweeps=cfg.max_sweeps, tol=cfg.tol, seed=rep_seed,
                          center_response=(cfg.family == "gaussian"))
     model, report = fit(x_train, y_train, structure, family=cfg.family,
@@ -397,14 +409,9 @@ def run_experiment(cfg):
         "rmse_coeff_ridge": _aggregate([r.rmse_coeff_ridge for r in rows]),
         "rmse_pred_ridge": _aggregate([r.rmse_pred_ridge for r in rows]),
     }
-    metadata = {}
-    if cfg.signal.kind == "quasi_sparse":
-        # Record the off-support noise convention: N(0.1, 0.1) read as
-        # mean 0.1 with variance 0.1 (sd = sqrt(0.1)).
-        metadata["quasi_sparse_outside"] = {"mean": 0.1, "variance": 0.1}
     return {
         "config": cfg.to_dict(),
-        "metadata": metadata,
+        "metadata": _metadata(cfg),
         "repetitions": [r.to_dict() for r in rows],
         "summary": summary,
         "external_methods": {},

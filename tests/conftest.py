@@ -39,6 +39,32 @@ def malformed_dkt():
     return cases
 
 
+@pytest.fixture
+def crop_shares():
+    """A function giving, for probes 0..n_probes-1 of ``probe_rip`` at
+    ``seed``, |C|_F^2 over the energy of C's crop to the unpadded extents
+    ``padded_from``: the factor that takes a padded copy's ratio, which
+    divides by the whole probe's energy, to the unpadded images' ratio,
+    which divides by the crop's."""
+    import numpy as np
+
+    from dkn import rng
+    from dkn.kron_ops import compose_coeff
+
+    def shares(structure, padded_from, seed, n_probes):
+        crop = tuple(slice(0, e) for e in padded_from)
+        out = []
+        for j in range(n_probes):
+            p = rng.stream(seed, rng.PURPOSE_PROBE, j)
+            c = compose_coeff([[p.standard_normal(fd) for fd in structure.factor_dims]
+                               for _ in range(2)])
+            c = c.reshape(structure.dims3, order="F")
+            out.append(float(np.sum(c * c)) / float(np.sum(c[crop] ** 2)))
+        return out
+
+    return shares
+
+
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 

@@ -20,7 +20,7 @@ from numpy.testing import assert_allclose
 
 import dkn
 from dkn import rng
-from dkn.cli import _load_images_dir, build_parser, main
+from dkn.cli import _load_images_dir, _load_response_csv, build_parser, main
 from dkn.dkn_fit import (
     DknModel,
     DknStructure,
@@ -32,7 +32,7 @@ from dkn.dkn_fit import (
     save_model,
 )
 from dkn.kron_ops import compose_coeff
-from dkn.tensor_core import write_dkt
+from dkn.tensor_core import read_dkt, write_dkt
 
 
 def write_config(path, **overrides):
@@ -79,6 +79,49 @@ def write_rank1_dataset(root, n=500, seed=31, noise_sd=0.05):
     write_responses(os.path.join(root, "y.csv"), y)
     write_dkt(os.path.join(root, "truth.dkt"), coeff)
     return imgdir, os.path.join(root, "y.csv"), os.path.join(root, "truth.dkt"), x, y
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"signal": {"shape": "two_circles", "kind": "quasi_sparse", "circles": None},
+     "image_dims": [12, 10], "family": "bernoulli"},
+    {"n_train": 3},
+], ids=["sparse", "quasi_sparse", "n_train_3"])
+def test_simulate_writes_run_repetitions_draw(tmp_path, monkeypatch, overrides):
+    """``dkn simulate`` and ``run_repetition`` make one draw: at the config's
+    seed, the truth and the train and test pairs that simulate writes are
+    the ones the repetition fits and scores.  A config of 3 training images
+    has no test set, so simulate writes none, while the repetition still
+    scores one test image."""
+    from dkn import harness
+
+    raw = write_config(tmp_path / "config.json", **overrides)
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(tmp_path / "config.json"), "--out", str(data)]) == 0
+    seen = {}
+
+    def spy(name, fn, keep):
+        def wrapped(*args, **kwargs):
+            seen.setdefault(name, keep(*args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, wrapped)
+
+    spy("fit", harness.fit, lambda x, y, *rest: (x, y))
+    spy("predict", harness.predict, lambda model, x: x)
+    spy("rmse_pred", harness.rmse_pred, lambda pred, y: y)
+    spy("rmse_coeff", harness.rmse_coeff, lambda model, truth: truth)
+    cfg = harness.ExperimentConfig.from_dict(raw)
+    harness.run_repetition(cfg, cfg.seed)
+
+    assert np.array_equal(read_dkt(str(data / "truth.dkt")), seen["rmse_coeff"])
+    assert np.array_equal(_load_images_dir(str(data / "images")), seen["fit"][0])
+    assert np.array_equal(_load_response_csv(str(data / "y.csv")), seen["fit"][1])
+    if cfg.n_test == 0:
+        assert not (data / "test_images").exists() and not (data / "y_test.csv").exists()
+        assert seen["predict"].shape == (1,) + cfg.image_dims
+        return
+    assert np.array_equal(_load_images_dir(str(data / "test_images")), seen["predict"])
+    assert np.array_equal(_load_response_csv(str(data / "y_test.csv")), seen["rmse_pred"])
 
 
 def test_simulate_then_fit_then_predict(tmp_path):
@@ -481,10 +524,12 @@ def test_diagnose_flags_non_rank1_truth(tmp_path):
     assert any("initialization distance unavailable" in note for note in d["notes"])
 
 
-def test_diagnose_pads_no_image_stack_of_a_padded_model(tmp_path, monkeypatch):
+def test_diagnose_pads_no_image_stack_of_a_padded_model(tmp_path, monkeypatch, crop_shares):
     """``dkn diagnose`` on a padded 3-D model reads the training images
     where they lie: it runs its full path, and the only image it pads is the
-    one-image truth.  Its delta_hat is the padded copy's to rounding."""
+    one-image truth.  Its delta_hat is the padded copy's to rounding, once
+    each probe's ratio divides by the energy of its crop to the images'
+    voxels rather than by the whole probe's."""
     from dkn import cli, dkn_fit
     from dkn.diagnostics import probe_rip
 
@@ -519,7 +564,8 @@ def test_diagnose_pads_no_image_stack_of_a_padded_model(tmp_path, monkeypatch):
     assert padded == [1]
     d = json.loads(out.read_text())
     assert d["notes"] == [] and d["constants"] is not None and d["decay_verdict"] is not None
-    want = probe_rip(pad(x, dims, structure.image_dims), structure, n_probes=10).delta_hat
+    ratios = probe_rip(pad(x, dims, structure.image_dims), structure, n_probes=10).ratios
+    want = max(abs(r * share - 1.0) for r, share in zip(ratios, crop_shares(structure, dims, 0, 10)))
     assert_allclose(d["delta_hat"], want, rtol=1e-12)
 
 

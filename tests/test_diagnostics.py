@@ -660,11 +660,13 @@ def test_measure_mu_exact_design_is_tiny():
 
 
 @pytest.mark.parametrize("dims", [(5, 4, 6), (23, 45)], ids=str)
-def test_diagnostics_read_unpadded_images_with_padded_from(dims):
+def test_diagnostics_read_unpadded_images_with_padded_from(dims, crop_shares):
     """``probe_rip``, ``init_spectral`` and ``measure_mu`` read the unpadded
     images of a padded structure where they lie: given ``padded_from``, C-
     or column-major, they agree with their zero-padded copy to rounding
-    (the probes' inner products then skip the padding's zero terms)."""
+    (the probes' inner products then skip the padding's zero terms), except
+    that a probe's ratio divides by the energy of its crop to the images'
+    own voxels, where the copy's divides by the whole probe's."""
     structure, padded_from = auto_structure(dims)
     assert padded_from == dims
     g = rng.stream(30, rng.PURPOSE_IMAGES, 0)
@@ -674,6 +676,7 @@ def test_diagnostics_read_unpadded_images_with_padded_from(dims):
     truth = truth.reshape(structure.image_dims, order="F")
     y = padded.reshape(80, -1) @ truth.ravel()
     want_rip = probe_rip(padded, structure, n_probes=30, seed=2).ratios
+    want_rip = [r * share for r, share in zip(want_rip, crop_shares(structure, dims, 2, 30))]
     want_init = init_spectral(padded, y, structure)
     want_mu = measure_mu(padded, y, truth, structure)
     for x in (raw, np.asfortranarray(raw)):
@@ -684,6 +687,21 @@ def test_diagnostics_read_unpadded_images_with_padded_from(dims):
             assert_allclose(got[l][0], want_init[l][0], rtol=1e-12, atol=1e-14)
         got = measure_mu(x, y, truth, structure, padded_from)
         assert_allclose(got, want_mu, rtol=1e-12)
+
+
+def test_probe_rip_measures_the_design_not_the_padding():
+    """iid images of 20 x 20, padded to 32 x 32, are close to an isometry
+    on their own voxels, and ``probe_rip`` reads a small ``delta_hat`` for
+    them.  Divided by the whole probe's energy, a ratio would read about
+    the probe's share on the images' voxels, near 0.3, and ``delta_hat``
+    0.7 or more."""
+    dims = (20, 20)
+    structure, padded_from = auto_structure(dims)
+    assert padded_from == dims and structure.image_dims == (32, 32)
+    images = rng.stream(41, rng.PURPOSE_IMAGES, 0).standard_normal((2000,) + dims)
+    probe = probe_rip(images, structure, seed=1, padded_from=padded_from)
+    assert probe.delta_hat < 1.0 / 3.0
+    assert_allclose(np.median(probe.ratios), 1.0, atol=0.05)
 
 
 # ----------------------------------------------- traced fit vs. the theory

@@ -186,28 +186,32 @@ def test_rmse_pred_and_accuracy_hand_values():
 
 
 def test_ridge_fixed_lambda_matches_direct_primal_solve():
-    g = np.random.default_rng(2)
-    images = g.standard_normal((30, 5, 4))
-    y = g.standard_normal(30)
-    beta_img, intercept, lam = baseline_ridge(images, y, lambdas=[0.7])
-    assert lam == 0.7
-    assert intercept == pytest.approx(float(np.mean(y)), rel=1e-14)
-    xs = images.reshape(30, -1)
-    yc = y - np.mean(y)
-    direct = np.linalg.solve(xs.T @ xs + 0.7 * np.eye(20), xs.T @ yc)
-    assert beta_img.shape == (5, 4)
-    assert_allclose(beta_img.ravel(), direct, rtol=1e-10)
+    # 21 samples of 20 features sit one sample above the primal/dual boundary.
+    for n in (30, 21):
+        g = np.random.default_rng(2)
+        images = g.standard_normal((n, 5, 4))
+        y = g.standard_normal(n)
+        beta_img, intercept, lam = baseline_ridge(images, y, lambdas=[0.7])
+        assert lam == 0.7
+        assert intercept == pytest.approx(float(np.mean(y)), rel=1e-14)
+        xs = images.reshape(n, -1)
+        yc = y - np.mean(y)
+        direct = np.linalg.solve(xs.T @ xs + 0.7 * np.eye(20), xs.T @ yc)
+        assert beta_img.shape == (5, 4)
+        assert_allclose(beta_img.ravel(), direct, rtol=1e-10)
 
 
 def test_ridge_dual_route_agrees_with_primal_formula():
-    g = np.random.default_rng(4)
-    images = g.standard_normal((10, 6, 6))
-    y = g.standard_normal(10)
-    beta_img, _, _ = baseline_ridge(images, y, lambdas=[3.0], n_folds=2)
-    xs = images.reshape(10, -1)
-    yc = y - np.mean(y)
-    primal = np.linalg.solve(xs.T @ xs + 3.0 * np.eye(36), xs.T @ yc)
-    assert_allclose(beta_img.ravel(), primal, rtol=1e-9, atol=1e-12)
+    # 35 samples of 36 features sit one sample below the primal/dual boundary.
+    for n in (10, 35):
+        g = np.random.default_rng(4)
+        images = g.standard_normal((n, 6, 6))
+        y = g.standard_normal(n)
+        beta_img, _, _ = baseline_ridge(images, y, lambdas=[3.0], n_folds=2)
+        xs = images.reshape(n, -1)
+        yc = y - np.mean(y)
+        primal = np.linalg.solve(xs.T @ xs + 3.0 * np.eye(36), xs.T @ yc)
+        assert_allclose(beta_img.ravel(), primal, rtol=1e-9, atol=1e-12)
 
 
 def test_ridge_huge_lambda_shrinks_to_intercept():
