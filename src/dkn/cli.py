@@ -54,8 +54,8 @@ from .errors import (
 from .glm import get_family
 from .harness import ExperimentConfig, _draw, _metadata, _structure_for
 from .kron_ops import compose_coeff, conv_chain_eval, kron_chain, reshape_T, reshape_R, tkp
-from .tensor_core import _read_json, _write_json, fro_norm, inner, read_dkt, read_dkt_stack, vec
-from .tensor_core import write_dkt
+from .tensor_core import _dkt_extents, _read_json, _write_json, fro_norm, inner, read_dkt
+from .tensor_core import read_dkt_stack, vec, write_dkt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -89,10 +89,10 @@ def _id_range(path, ids):
 _IMAGE_NAME = re.compile(r"img_([0-9]+)\.dkt")
 
 
-def _load_images_dir(path):
-    """The images ``img_<id>.dkt`` under ``path`` as one stack, image i at
-    row i.  Ids are decimal, with any zero-padding, and must cover 0..n-1
-    exactly, as ``y.csv``'s do, so image i pairs with response row i."""
+def _image_paths(path):
+    """The paths of the images ``img_<id>.dkt`` under ``path``, image i's
+    at index i.  Ids are decimal, with any zero-padding, and must cover
+    0..n-1 exactly, as ``y.csv``'s do, so image i pairs with response row i."""
     files = globmod.glob(os.path.join(path, "img_*.dkt"))
     if not files:
         raise DataFormatError(f"no img_*.dkt files under {path}")
@@ -105,7 +105,13 @@ def _load_images_dir(path):
         if i in by_id:
             raise DataFormatError(f"{f}: id {i} is taken by {by_id[i]} as well")
         by_id[i] = f
-    return read_dkt_stack([by_id[i] for i in _id_range(path, by_id)])
+    return [by_id[i] for i in _id_range(path, by_id)]
+
+
+def _load_images_dir(path):
+    """The images under ``path`` (:func:`_image_paths`) as one stack, image
+    i at row i."""
+    return read_dkt_stack(_image_paths(path))
 
 
 def _load_response_csv(path, column="y"):
@@ -196,11 +202,14 @@ def _parse_ranks(text):
 
 
 def cmd_fit(args):
-    images = _load_images_dir(args.images)
+    """Fit on the image directory read block by block into the solver stack
+    (``dkn_fit`` reads the files' paths), never as one image array; the
+    model directory is made only once the fit has returned."""
+    paths = _image_paths(args.images)
     y = _load_response_csv(args.y)
-    if y.shape[0] != images.shape[0]:
+    if y.shape[0] != len(paths):
         raise DimensionError(
-            f"{args.y} has {y.shape[0]} rows but {args.images} has {images.shape[0]} images"
+            f"{args.y} has {y.shape[0]} rows but {args.images} has {len(paths)} images"
         )
     center = args.family == "gaussian" and not args.no_center
     scanning = args.rank == "scan"
@@ -214,15 +223,14 @@ def cmd_fit(args):
             base_rank = int(args.rank)
         except ValueError:
             raise DimensionError(f"--rank expects an integer or 'scan', got {args.rank!r}") from None
-    structure, padded_from = _resolve_structure(images.shape[1:], args, base_rank)
+    structure, padded_from = _resolve_structure(_dkt_extents(paths), args, base_rank)
     if not scanning:
         ranks = [structure.rank]
     options = _fit_options(args, center)
 
-    os.makedirs(args.out, exist_ok=True)
-    scan = scan_rank(images, y, structure, ranks, family=args.family,
+    scan = scan_rank(paths, y, structure, ranks, family=args.family,
                      options=options, padded_from=padded_from)
-    save_model(scan.best_model, args.out)
+    save_model(scan.best_model, args.out)  # makes the directory
     report = scan.reports[scan.best_rank]
     _write_json(os.path.join(args.out, "fit_report.json"), report.to_dict(include_timing=False))
     if scanning:

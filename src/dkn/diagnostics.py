@@ -34,7 +34,7 @@ from .dkn_fit import (
     DknStructure,
     _design,
     _digits,
-    _image_stack,
+    _image_blocks,
     _inner_products,
     _lower_product,
     _sign_fix,
@@ -118,7 +118,7 @@ def probe_rip(images, structure, n_probes=50, seed=0, padded_from=None):
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     if n_probes < 1:
         raise DimensionError("need at least one probe")
-    x, src = _image_stack(images, structure, padded_from)
+    x, src = _image_blocks(images, structure, padded_from)
     L = structure.depth
     canonical = _digits(structure, 1, L)
     ratios = []
@@ -143,7 +143,7 @@ def probe_rip(images, structure, n_probes=50, seed=0, padded_from=None):
             c2 = float(np.sum(inside[..., b] * inside[..., b]))
             if c2 == 0.0:
                 raise DegenerateDataError("probe drew a zero coefficient")
-            ratio = float(np.sum(etas[:, b] ** 2)) / (x.shape[0] * c2)
+            ratio = float(np.sum(etas[:, b] ** 2)) / (x.n * c2)
             ratios.append(ratio)
             if abs(ratio - 1.0) > worst:
                 worst = abs(ratio - 1.0)
@@ -173,8 +173,8 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0, padded_from=None):
     if n_probes < 1:
         raise DimensionError("need at least one probe")
     eps = np.asarray(noise, dtype=np.float64)
-    x, _ = _image_stack(images, structure, padded_from)
-    n = x.shape[0]
+    x, _ = _image_blocks(images, structure, padded_from)
+    n = x.n
     if eps.shape != (n,):
         raise DimensionError("noise length does not match image count")
     agg = _vectorize_images(_weighted_sum(x, eps, structure, padded_from)[None], structure)

@@ -23,9 +23,14 @@ aggregate sum_i (y_i - mu_i) vec(X_i) reshaped at layer 2, factored by
 successive rank-1 SVDs.  Such a fit warm-starts sweep 1's solves as well.
 
 Images enter as an (n, *image_dims) stack (a list of tensors or an
-(n, prod(dims)) matrix of canonical vecs is also accepted).  Unpadded
-images of a padded structure enter with ``padded_from``, here and in the
-diagnostics alike, and are read where they lie: no reader pads them.
+(n, prod(dims)) matrix of canonical vecs is also accepted), or as the
+ordered paths of n DKT1 files of one image each, as ``dkn fit`` hands them
+in.  Unpadded images of a padded structure enter with ``padded_from``,
+here and in the diagnostics alike, and are read where they lie: no reader
+pads them.  Every reader takes the images in sample blocks from one
+source, ``_ImageBlocks``: a float64 array is one block, read in place,
+while files, and arrays of another dtype, are read (or cast) block by block
+into one reused buffer of a few MB, so no whole image array is made.
 The solver copies them once into its stack, (n_voxels, n) with the samples fastest
 and each column in layer-digit order (``kron_ops.reshape_T``), where a
 chain is ``np.kron(vec(B_1), ..., vec(B_L))``: every contraction against
@@ -33,7 +38,9 @@ a partial product is then one contiguous matmul.  The copy reads the
 caller's images directly, zero-filling the padding of unpadded images of a
 padded structure, and from 32 MB on it runs on threads, one per CPU the
 process may use, started and joined within the call; a copy has no sums, so
-the stack's bytes do not depend on the thread count.  ``fit`` splits each
+the stack's bytes do not depend on the thread count, nor on the blocks.  A
+cold fit sums its response-weighted aggregate in the same pass over the
+blocks, so it reads the images once.  ``fit`` splits each
 sweep at a layer m, 1 when its upper products are not chains of factors
 (a cold fit's spectral seeds, reseeds).  At layer 1 the stack is
 contracted against every term's upper product of layers m+1..L, and after
@@ -44,12 +51,13 @@ one matmul for all R terms, and its objective comes from the layer-L design.  ``
 runs one sweep per ``next``; collapse event k draws reseed stream k, and a lower product
 collapses when its factors' norm product falls below ``COLLAPSE_TOL``.  ``build_design``
 (so ``sweep_update``) and ``diagnostics.probe_tau0`` map canonical products into that
-order.  The response-weighted aggregate and prediction sum over the images in their own
-memory order and build no stack; a fit's BIC comes from its last layer-L design.
+order.  Image sums and predictions run over the images in their own memory order and
+build no stack; a fit's BIC comes from its last layer-L design.
 Pixels are checked by ``fit`` only: elsewhere a non-finite pixel passes
 through to its image's prediction or design row.
 """
 
+import contextlib
 import copy
 import itertools
 import math
@@ -70,7 +78,8 @@ from .errors import (
 )
 from .kron_ops import _composed_extents, _contract_lower, _contract_upper, _kron, _lift3, _triple
 from .kron_ops import compose_coeff, kron_chain, reshape_R_indices, reshape_T_indices
-from .tensor_core import _read_json, _write_json, dist, read_dkt, unvec, vec, write_dkt
+from .tensor_core import _dkt_extents, _read_dkt_rows, _read_json, _write_json, dist, read_dkt
+from .tensor_core import unvec, vec, write_dkt
 
 __all__ = [
     "DknStructure",
@@ -98,6 +107,7 @@ __all__ = [
 COLLAPSE_TOL = 1e-12
 _STACK_TILE = (256, 512)
 _INLINE_STACK_BYTES = 32 << 20
+_BLOCK_BYTES = 2 << 20
 MANIFEST_NAME = "manifest.json"
 _MODEL_FORMAT = "dkn-model-v1"
 
@@ -260,48 +270,118 @@ def pad_images(images, from_dims, to_dims):
 
 
 def _image_stack(images, structure, padded_from=None):
-    """The images as one float64 array in their own memory order, and
-    ``src``, the extent triple their voxels span: ``padded_from`` for the
-    unpadded originals of a padded structure, else the structure's dims3.
-    Accepted extents: ``padded_from``, image_dims, dims3, or one canonical
-    vec.  Every reader of images takes them from here and none pads them:
-    their voxels are the low corner ``src`` of the structure's extents, and
-    the voxels beyond it are zero."""
+    """The images as one array of their own dtype in their own memory order
+    (a list of tensors is stacked in float64), and ``src``, the extent
+    triple their voxels span (:func:`_source_extents`)."""
     if isinstance(images, (list, tuple)):
         images = np.stack([np.asarray(t, dtype=np.float64) for t in images])
-    x = np.asarray(images, dtype=np.float64)
+    x = np.asarray(images)
     if x.ndim < 2:
         raise DimensionError("expected a stack of images")
-    shape = x.shape[1:]
+    return x, _source_extents(x.shape[1:], structure, padded_from)
+
+
+def _source_extents(shape, structure, padded_from):
+    """``src``, the extent triple that images of extents ``shape`` span:
+    ``padded_from`` for the unpadded originals of a padded structure, else
+    the structure's dims3.  Accepted extents: ``padded_from``, image_dims,
+    dims3, or one canonical vec.  No reader pads images: their voxels are
+    the low corner ``src`` of the structure's extents, and the voxels
+    beyond it are zero."""
+    shape = tuple(shape)
     if padded_from is not None and shape == tuple(padded_from):
-        return x, _triple(padded_from)
+        return _triple(padded_from)
     if shape in (structure.image_dims, structure.dims3, (structure.n_voxels,)):
-        return x, structure.dims3
+        return structure.dims3
     expect = tuple(padded_from) if padded_from is not None else structure.image_dims
     raise DimensionError(f"image extents {shape} do not match the structure's {expect}")
 
 
-def _vectorize_images(images, structure, padded_from=None):
+class _ImageBlocks:
+    """``n`` images of extents ``shape``, read in sample blocks: ``blocks()``
+    yields ``(s, rows)`` for s = 0, size, 2 size, ..., where row i of the
+    float64 matrix ``rows`` is image s + i ravelled in ``order`` ("C" or
+    "F", :func:`_memory_order`).
+
+    A float64 array is one block, its own rows (a view where its strides
+    allow).  An array of another dtype, or a list of DKT1 files (each one
+    image, its entries in canonical order, so ``order`` is "F"), is read
+    block by block into one buffer of ``size`` images, reused for every
+    block: an array is cast into it, and files are read into it by
+    ``tensor_core._read_dkt_rows``, which checks each header, length and
+    extents as ``read_dkt_stack`` does.  ``size`` is as many images as fit
+    in ``_BLOCK_BYTES``, but at most ``_STACK_TILE[0]`` and at least 8, so
+    that a block fills a cache line of every stack row it writes: with one
+    2 MB image a block, a 64^3 stack of 64 files built about 4 times slower
+    than with 8.  A block's rows hold until the next block is read."""
+
+    def __init__(self, array=None, paths=None):
+        self.array, self.paths = array, paths
+        if paths is not None:
+            self.n, self.shape, self.order = len(paths), _dkt_extents(paths), "F"
+        else:
+            self.n, self.shape, self.order = array.shape[0], array.shape[1:], _memory_order(array)
+        self.whole = array is not None and array.dtype == np.float64
+        if self.whole:
+            self.size = self.n
+        else:  # at least 8 images: a cache line of every stack row per block
+            self.size = min(_STACK_TILE[0], max(8, _BLOCK_BYTES // (8 * math.prod(self.shape))))
+
+    def blocks(self):
+        if self.whole:
+            yield 0, self.array.reshape(self.n, -1, order=self.order)
+            return
+        buf = np.empty((self.size, math.prod(self.shape)), dtype="<f8")
+        for s in range(0, max(self.n, 1), self.size):
+            rows = buf[: min(self.size, self.n - s)]
+            if self.paths is None:
+                rows[...] = self.array[s : s + len(rows)].reshape(len(rows), -1, order=self.order)
+            else:
+                _read_dkt_rows(self.paths[s : s + len(rows)], rows, self.shape, self.paths[0])
+            yield s, rows
+
+
+def _image_blocks(images, structure, padded_from=None):
+    """The images as the :class:`_ImageBlocks` that every image reader of
+    this module reads, and ``src`` (:func:`_source_extents`).  ``images``
+    is an ``(n, *image_dims)`` stack (or a list of tensors, or an
+    ``(n, n_voxels)`` matrix of canonical vecs), the ordered paths of n
+    DKT1 files of one image each, or such blocks already."""
+    if isinstance(images, _ImageBlocks):
+        x = images
+    elif isinstance(images, (list, tuple)) and images and all(
+            isinstance(p, (str, os.PathLike)) for p in images):
+        x = _ImageBlocks(paths=list(images))
+    else:
+        array, src = _image_stack(images, structure, padded_from)
+        return _ImageBlocks(array), src
+    return x, _source_extents(x.shape, structure, padded_from)
+
+
+def _vectorize_images(images, structure, padded_from=None, weights=None):
     """The solver's image stack: a C-contiguous ``(n_voxels, n)`` array whose
     column i is image i at the structure's (padded) extents in layer-digit
     order, ``reshape_T(X_i, factor_dims).ravel()``, so that every
-    contraction of it is one contiguous matmul.
+    contraction of it is one contiguous matmul.  With ``weights``, the pair
+    of the stack and :func:`_weighted_sum` of the images, summed in the
+    same pass.
 
-    It is copied straight from the caller's images, unpadded ones of a padded
-    structure included, in tiles of ``_STACK_TILE`` (images, voxels).  A
-    tile's voxels are a run contiguous in the padded images' memory order, so
-    a box of them: the part of the box inside the caller's images is copied
-    into a buffer whose rows sit a cache line further apart than the run (so
-    the images' lines do not share cache sets), the rest of it is zeroed, and
-    one transposed-view assignment puts the tile in the stack.  The tiles are
-    split among ``_stack_workers`` threads of a pool made for the call (below
-    32 MB they are copied inline), each with its own buffer; a copy has no
-    sums, so the stack's bytes do not depend on their number.
+    It is copied straight from the caller's images (:func:`_image_blocks`),
+    unpadded ones of a padded structure included, block by block, in tiles
+    of ``_STACK_TILE`` (images, voxels).  A tile's voxels are a run
+    contiguous in the padded images' memory order, so a box of them: the
+    part of the box inside the caller's images is copied into a buffer whose
+    rows sit a cache line further apart than the run (so the images' lines
+    do not share cache sets), the rest of it is zeroed, and one
+    transposed-view assignment puts the tile in the stack.  A block's tiles
+    are split among ``_stack_workers`` threads of a pool made for the call
+    (below 32 MB they are copied inline), each with its own buffer; a copy
+    has no sums, so the stack's bytes do not depend on their number, nor on
+    the blocks.
     """
-    x, src = _image_stack(images, structure, padded_from)
-    n, v, fd = x.shape[0], structure.n_voxels, structure.factor_dims
-    order = _memory_order(x)
-    modes = (0, 1, 2) if order == "C" else (2, 1, 0)  # the images' slowest mode first
+    x, src = _image_blocks(images, structure, padded_from)
+    n, v, fd = x.n, structure.n_voxels, structure.factor_dims
+    modes = (0, 1, 2) if x.order == "C" else (2, 1, 0)  # the images' slowest mode first
     # One axis per (mode, layer) digit of extent > 1, in the stack's order and
     # in the images' memory order; a mode's layer-1 digit is its slowest.
     digits = [(m, l) for l in range(len(fd)) for m in (2, 1, 0) if fd[l][m] > 1]
@@ -310,8 +390,7 @@ def _vectorize_images(images, structure, padded_from=None):
     out = np.empty((v, n))
     dst = out.reshape([fd[l][m] for m, l in digits] + [n])
     dst = dst.transpose([digits.index(a) for a in mem] + [len(mem)])
-    box = x.reshape(n, -1, order=order).reshape([n] + [src[m] for m in modes])
-    bs, run, j = _STACK_TILE[0], v, 0
+    bs, run, j = max(1, min(_STACK_TILE[0], x.size)), v, 0
     while run > _STACK_TILE[1]:  # fix the slowest memory digits: one run per tile
         run //= extent[j]
         j += 1
@@ -320,34 +399,48 @@ def _vectorize_images(images, structure, padded_from=None):
     width = [math.prod(fd[l][m] for m, l in mem[j:] if m == mode) for mode in modes]
     place = [(modes.index(m), math.prod(fd[k][m] for k in range(l + 1, len(fd))))
              for m, l in mem[:j]]
-    tiles = [(s, outer) for outer in np.ndindex(*extent[:j]) for s in range(0, n, bs)]
+    boxes = []
+    for outer in np.ndindex(*extent[:j]):
+        start = [0, 0, 0]
+        for (axis, step), i in zip(place, outer):
+            start[axis] += i * step
+        boxes.append((outer, tuple(slice(a, a + w) for a, w in zip(start, width))))
+    # One buffer per thread: as many threads as a whole block has tiles, at most.
+    k = max(1, min(_stack_workers(out.nbytes), len(boxes) * -(-x.size // bs)))
+    bufs = [np.empty((bs, run + 8))[:, :run] for _ in range(k)]
 
     def copy_tiles(part):
-        buf = np.empty((bs, run + 8))[:, :run]
-        for s, outer in part:
-            b = min(bs, n - s)
+        buf, tiles = part
+        for s, (outer, at) in tiles:
+            b = min(bs, box.shape[0] - s)
             tile = buf[:b].reshape([b] + width)
-            start = [0, 0, 0]
-            for (axis, step), i in zip(place, outer):
-                start[axis] += i * step
-            inside = box[(slice(s, s + b),) + tuple(slice(a, a + w) for a, w in zip(start, width))]
+            inside = box[(slice(s, s + b),) + at]
             if inside.shape != tile.shape:  # a box that crosses the padding
                 tile[...] = 0
             tile[tuple(slice(0, e) for e in inside.shape)] = inside
-            dst[outer + (..., slice(s, s + b))] = np.moveaxis(
+            dst[outer + (..., slice(s0 + s, s0 + s + b))] = np.moveaxis(
                 tile.reshape([b] + extent[j:]), 0, -1)
 
     # An outer index's tiles fill its stack rows whole, one sample block after
-    # another; each thread takes one run of consecutive tiles.  The pool's
-    # ``with`` joins every thread, so none outlives the call.
-    k = max(1, min(_stack_workers(out.nbytes), len(tiles)))
-    if k == 1:
-        copy_tiles(tiles)
-    else:
-        with ThreadPoolExecutor(k) as pool:
-            list(pool.map(copy_tiles, [tiles[len(tiles) * i // k:len(tiles) * (i + 1) // k]
-                                       for i in range(k)]))
-    return out
+    # another; each thread takes one run of consecutive tiles of the block.
+    # The pool's ``with`` joins every thread, so none outlives the call.
+    agg = None
+    with ThreadPoolExecutor(k) if k > 1 else contextlib.nullcontext() as pool:
+        for s0, rows in x.blocks():
+            box = rows.reshape([rows.shape[0]] + [src[m] for m in modes])
+            tiles = [(s, a) for a in boxes for s in range(0, rows.shape[0], bs)]
+            t = max(1, min(k, len(tiles)))
+            parts = [(bufs[i], tiles[len(tiles) * i // t:len(tiles) * (i + 1) // t])
+                     for i in range(t)]
+            if t == 1:
+                copy_tiles(parts[0])
+            else:
+                list(pool.map(copy_tiles, parts))
+            if weights is not None:
+                agg = _accumulate(agg, weights[s0 : s0 + len(rows)], s0, rows)
+    if weights is None:
+        return out
+    return out, _canonical(agg, src, x.order, structure)
 
 
 def _stack_workers(nbytes):
@@ -366,40 +459,72 @@ def _memory_order(x):
     return "C" if x.ndim > 2 and x.strides[-1] < x.strides[1] else "F"
 
 
+def _coefficient_rows(coeff, structure, src, order):
+    """A composed coefficient at the structure's extents (or such
+    coefficients stacked along a fourth axis), cropped to ``src`` and
+    ravelled in ``order``: the vector (or matrix) that image rows ravelled
+    in that order are contracted against."""
+    batch = np.shape(coeff)[3:]
+    c = np.reshape(coeff, structure.dims3 + batch, order="F")[tuple(slice(0, e) for e in src)]
+    return np.reshape(c, (-1,) + batch, order=order)
+
+
 def _inner_products(images, coeff, structure, padded_from=None):
     """<X_i, C> for every image i, where ``coeff`` is a composed coefficient
     at the structure's extents, or such coefficients stacked along a fourth
     axis (the result then has one column per coefficient).
 
-    The images are contracted in their own memory order, so no stack is
-    built: a C-ordered stack against the C-ravelled coefficient, a stack of
-    column-major tensors (as read from DKT1 files) against vec(C), and
-    unpadded images of a padded structure against the cropped coefficient.
+    The images are contracted block by block in their own memory order
+    (:func:`_image_blocks`), so no stack is built: a C-ordered stack against
+    the C-ravelled coefficient, a stack of column-major tensors (as read
+    from DKT1 files) against vec(C), and unpadded images of a padded
+    structure against the cropped coefficient.
     """
-    x, src = _image_stack(images, structure, padded_from)
-    batch = np.shape(coeff)[3:]
-    c = np.reshape(coeff, structure.dims3 + batch, order="F")[tuple(slice(0, e) for e in src)]
-    order = _memory_order(x)
-    return x.reshape(x.shape[0], -1, order=order) @ np.reshape(c, (-1,) + batch, order=order)
+    x, src = _image_blocks(images, structure, padded_from)
+    c = _coefficient_rows(coeff, structure, src, x.order)
+    out = np.empty((x.n,) + c.shape[1:])
+    for s, rows in x.blocks():
+        out[s : s + rows.shape[0]] = rows @ c
+    return out
 
 
 def _weighted_sum(images, w, structure, padded_from=None):
     """sum_i w_i vec(X_i) at the structure's extents, zero beyond the images'
-    own voxels, the adjoint of :func:`_inner_products`: summed in the
-    images' own memory order, so no stack is built.  A non-finite sum is
-    traced to the first image with a non-finite pixel (which spoils the sum
-    even where its weight is 0) and raised as a DimensionError naming it;
-    otherwise it is returned as is.
+    own voxels, the adjoint of :func:`_inner_products`: summed block by
+    block in the images' own memory order, so no stack is built.  A
+    non-finite sum is traced to the first image with a non-finite pixel
+    (which spoils the sum even where its weight is 0) and raised as a
+    DimensionError naming it; otherwise it is returned as is.
     """
-    x, src = _image_stack(images, structure, padded_from)
-    order = _memory_order(x)
-    rows = x.reshape(x.shape[0], -1, order=order)
+    x, src = _image_blocks(images, structure, padded_from)
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (x.n,):
+        raise DimensionError(f"weights of shape {w.shape} for {x.n} images")
+    agg = None
+    for s, rows in x.blocks():
+        agg = _accumulate(agg, w[s : s + len(rows)], s, rows)
+    return _canonical(agg, src, x.order, structure)
+
+
+def _accumulate(agg, w, s, rows):
+    """``agg`` (None before the first block) plus ``w @ rows``, the block of
+    images from image s on weighted by ``w``.  A non-finite sum raises a
+    DimensionError naming the block's first image with a non-finite pixel,
+    if it has one."""
     with np.errstate(invalid="ignore", over="ignore"):
-        agg = np.asarray(w, dtype=np.float64) @ rows
-    if not np.all(np.isfinite(agg)):
+        part = w @ rows
+        if agg is not None:
+            part += agg
+    if not np.all(np.isfinite(part)):
         bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
         if bad.size:
-            raise DimensionError(f"image {bad[0]} has a non-finite pixel")
+            raise DimensionError(f"image {s + bad[0]} has a non-finite pixel")
+    return part
+
+
+def _canonical(agg, src, order, structure):
+    """An image sum over ``src`` ravelled in ``order`` as a canonical vec at
+    the structure's extents, zero beyond ``src``."""
     out = np.zeros(structure.dims3, order="F")
     out[tuple(slice(0, e) for e in src)] = np.reshape(agg, src, order=order)
     return np.reshape(out, -1, order="F")
@@ -623,11 +748,19 @@ def _rank_start(model, images, response, structure):
     term k gets a zero layer-1 factor, so the start's linear predictor is
     the model's, and layers 2..L from the chain nearest to the k-th spectral
     seed at layer 2 (:func:`_spectral_seeds`) of the score aggregate
-    sum_i (y_i - mu_i) vec(X_i), with mu the model's mean.  A rank that the
-    seeds of a cold fit could not support is refused the same way.
+    sum_i (y_i - mu_i) vec(X_i), with mu the model's mean (:func:`predict`),
+    both summed in one pass over the images.  A rank that the seeds of a
+    cold fit could not support is refused the same way.
     """
-    score = glm.get_family(model.family).validate_response(response) - predict(model, images)
-    left, _ = _spectral_seeds(_weighted_sum(images, score, structure, model.padded_from), structure)
+    family = glm.get_family(model.family)
+    y = family.validate_response(response)
+    x, src = _image_blocks(images, structure, model.padded_from)
+    c = _coefficient_rows(compose_coeff(model.factors), structure, src, x.order)
+    agg = None
+    for s, rows in x.blocks():
+        eta = rows @ c + model.intercept
+        agg = _accumulate(agg, y[s : s + len(rows)] - family.mean(eta), s, rows)
+    left, _ = _spectral_seeds(_canonical(agg, src, x.order, structure), structure)
     fd, upper = structure.factor_dims, _digits(structure, 2, structure.depth)
     added = left[2][: structure.rank - model.structure.rank]
     return [list(chain) for chain in model.factors] + [
@@ -769,9 +902,12 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
 
     Parameters
     ----------
-    images : array-like
+    images : array-like or list of paths
         Stack of n images, ``(n, *image_dims)`` (or a list of tensors, or
-        an ``(n, n_voxels)`` matrix of canonical vecs).
+        an ``(n, n_voxels)`` matrix of canonical vecs), or the ordered
+        paths of n DKT1 files of one image each.  Files, and arrays of
+        another dtype than float64, are read block by block into the
+        solver's stack, and the fit holds no array of the images.
     response : array-like, length n
     structure : DknStructure
         Image extents, factor extents per layer, and the rank R.
@@ -809,35 +945,36 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     return _fit(images, response, structure, family, options, padded_from)
 
 
-def _fit(images, response, structure, family, options, padded_from, start=None, vec_x=None):
+def _fit(images, response, structure, family, options, padded_from, start=None, stack=None):
     """:func:`fit`, started from the factor chains ``start`` (one per term)
     instead of spectral seeds when given.  Every upper product is then a
     chain, so sweep 1 splits at ``_split_layer`` and warm-starts its layer
     solves from the start's factors like later sweeps; a collapsed upper
     product is reseeded by a random unit vector, as no spectral pool is
-    formed.  ``vec_x`` is the images' solver stack
-    (:func:`_vectorize_images`) when the caller has built it already;
-    otherwise it is built after the response and options are checked.
-    Without ``start`` and ``vec_x`` this is :func:`fit`."""
+    formed.  ``stack`` is the pair that :func:`_vectorize_images` returns
+    for the images weighted by the fit's (centered) response, the solver
+    stack and the cold fit's aggregate, when the caller has built it
+    already; otherwise it is built, in one pass over the images, after the
+    response and options are checked.  Without ``start`` and ``stack`` this
+    is :func:`fit`."""
     t0 = time.perf_counter()
     options = options or FitOptions()
     family = glm.get_family(family)
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
-    images = _image_stack(images, structure, padded_from)[0]  # one array, read twice
-    y_raw, intercept, truth_vec = _checked_inputs(images, response, structure, family, options)
+    x = _image_blocks(images, structure, padded_from)[0]
+    y_raw, intercept, truth_vec = _checked_inputs(x.n, response, structure, family, options)
     y = y_raw - intercept
 
     L, R = structure.depth, structure.rank
     report = FitReport(family=family.name, rank=R, param_count=structure.param_count)
     if truth_vec is not None:
         report.dist_trace = []
-    if vec_x is None:
-        vec_x = _vectorize_images(images, structure, padded_from=padded_from)
+    vec_x, agg = stack or _vectorize_images(x, structure, padded_from, y)
 
     if options.trace_factors:
         report.snapshots = []
     if start is None:
-        left, pools = _spectral_seeds(_weighted_sum(images, y, structure, padded_from), structure)
+        left, pools = _spectral_seeds(agg, structure)
         factors = [[None] * L for _ in range(R)]
         # up[l][r]: term r's upper product (layers l..L) in layer-digit order.
         up = {l: [v[_digits(structure, l, L)] for v in vs] for l, vs in left.items()}
@@ -882,17 +1019,15 @@ def _fit(images, response, structure, family, options, padded_from, start=None, 
     return model, report
 
 
-def _checked_inputs(images, response, structure, family, options):
+def _checked_inputs(n, response, structure, family, options):
     """The response, its intercept and the vec of ``options.trace_truth``
     (None without one), after :func:`_fit`'s checks, which need no solver
-    stack: one finite response per image, ``center_response`` on the
-    gaussian family only, and a trace truth at the image extents.  The
+    stack: one finite response per image (of ``n``), ``center_response`` on
+    the gaussian family only, and a trace truth at the image extents.  The
     intercept is the response mean when it is centered, else 0.0."""
     y = family.validate_response(response)
-    if y.shape != (images.shape[0],):
-        raise DimensionError(
-            f"response length {y.shape} does not match {images.shape[0]} images"
-        )
+    if y.shape != (n,):
+        raise DimensionError(f"response length {y.shape} does not match {n} images")
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise DimensionError(f"response row {bad[0]} is not finite ({y[bad[0]]})")
@@ -1058,22 +1193,25 @@ def scan_rank(images, response, structure, ranks, family="gaussian", options=Non
     fit's score aggregate.  So its first solve can keep the previous fit's
     linear predictor, and its final objective is no higher than that
     fit's, up to the ridge penalty of its solves.  A cold fit of any rank
-    is one :func:`fit` call.  The images are copied into one solver stack,
-    which every rank's fit reads, once every rank and :func:`_fit`'s checks
-    of the inputs have passed.
+    is one :func:`fit` call.  ``images`` are as in :func:`fit`.  They are
+    copied into one solver stack, which every rank's fit reads, once every
+    rank and :func:`_fit`'s checks of the inputs have passed; the cold
+    fit's aggregate is summed in the same pass, and each started rank reads
+    the images once more for its score aggregate.
     """
     structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
     structures = [replace(structure, rank=r) for r in sorted({int(r) for r in ranks})]
     if not structures:
         raise DimensionError("need at least one candidate rank")
-    images = _image_stack(images, structure, padded_from)[0]
-    _checked_inputs(images, response, structure, glm.get_family(family), options or FitOptions())
-    vec_x = _vectorize_images(images, structure, padded_from=padded_from)
+    x = _image_blocks(images, structure, padded_from)[0]
+    y, intercept, _ = _checked_inputs(x.n, response, structure, glm.get_family(family),
+                                      options or FitOptions())
+    stack = _vectorize_images(x, structure, padded_from, y - intercept)
     reports, bics = {}, {}
     best = model = None
     for s in structures:
-        start = None if model is None else _rank_start(model, images, response, s)
-        model, rep = _fit(images, response, s, family, options, padded_from, start, vec_x)
+        start = None if model is None else _rank_start(model, x, response, s)
+        model, rep = _fit(x, response, s, family, options, padded_from, start, stack)
         reports[s.rank] = rep
         bics[s.rank] = rep.bic
         if best is None or rep.bic < bics[best[0]]:

@@ -26,7 +26,10 @@ sums its objective elementwise, sum(psi(eta) - y*eta), never as
 sum(psi(eta)) - y @ eta: near separation |eta| runs to 40 and more, where
 both sums are about n*|eta| while their difference, the objective, is near
 zero, so the difference of the sums is rounding noise, and step halving
-compares such values.
+compares such values.  A solve that IRLS would fail, at its iteration cap
+or for want of descent, returns instead when it has stalled at its
+optimum on data it does not separate.  The stop is tested only where IRLS
+would raise, so a solve that the gradient test ends keeps its bits.
 """
 
 import numpy as np
@@ -50,6 +53,7 @@ ETA_CLAMP = 30.0
 IRLS_MAX_ITER = 100
 IRLS_GRAD_TOL = 1e-8
 MAX_HALVINGS = 40
+STALL_ULPS = 4.0
 
 
 class GlmFamily:
@@ -205,7 +209,11 @@ def fit_glm(family, design, y, ridge=None, return_info=False, beta0=None):
         "gaussian" solves the normal equations in closed form; "bernoulli"
         runs damped IRLS (step halving on the penalized objective, at most
         100 iterations, stopping when the gradient max-norm falls below
-        1e-8 * (1 + |objective|)).
+        1e-8 * (1 + |objective|)).  Where IRLS would raise, at the
+        iteration cap or when step halving finds no descent, it returns its
+        iterate instead if it has stalled at its optimum: the decrease the
+        Newton step predicts is within rounding of the objective and the
+        data are not separated (``_stalled``).
     ridge : float or None
         None selects :func:`default_ridge`.  An explicit 0.0 is honored;
         singular normal equations then raise RankDeficiencyError.
@@ -234,6 +242,23 @@ def fit_glm(family, design, y, ridge=None, return_info=False, beta0=None):
         obj = nll(family, design, beta, y) + 0.5 * lam * float(beta @ beta)
         return beta, {"iterations": 1, "objective_trace": [obj], "converged": True}
     return beta, {"iterations": len(trace) - 1, "objective_trace": trace, "converged": True}
+
+
+def _stalled(grad, step, eta, y):
+    """Whether IRLS stands at its optimum to rounding on data it does not
+    separate: the Newton decrement -grad @ step / 2, the decrease the step
+    predicts, is at most STALL_ULPS * eps * (1 + sum |psi(eta_i)| +
+    sum |y_i eta_i|), a few roundings of the objective's terms, and some
+    row is misclassified, (2 y_i - 1) eta_i <= 0.  On a design of large
+    scale the gradient test can fail at such a point, where step halving
+    finds no decrease the objective can show and creeps to the iteration
+    cap.  Separated data have no such optimum: the objective falls towards
+    0 as |eta| grows, and their failures stand."""
+    decrement = -0.5 * float(grad @ step)
+    scale = 1.0 + float(np.logaddexp(0.0, eta).sum()) + float(np.abs(y * eta).sum())
+    if decrement > STALL_ULPS * np.finfo(np.float64).eps * scale:
+        return False
+    return bool(np.any((2.0 * y - 1.0) * eta <= 0.0))  # a misclassified row
 
 
 def _solve(family, design, y, lam, beta0):
@@ -280,8 +305,6 @@ def _solve(family, design, y, lam, beta0):
         grad += lam * beta
         if np.abs(grad).max() <= IRLS_GRAD_TOL * (1.0 + abs(obj)):
             return beta, trace
-        if it == IRLS_MAX_ITER:
-            raise ConvergenceError(f"IRLS did not converge in {IRLS_MAX_ITER} iterations", beta)
         np.subtract(1.0, mu, out=w)
         w *= mu  # the bernoulli variance psi''(eta), from the same mean
         hess = design.T @ np.multiply(design, w[:, None], out=dw)
@@ -290,6 +313,10 @@ def _solve(family, design, y, lam, beta0):
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             raise RankDeficiencyError("IRLS: singular weighted normal equations") from None
+        if it == IRLS_MAX_ITER:
+            if _stalled(grad, step, eta, y):
+                return beta, trace
+            raise ConvergenceError(f"IRLS did not converge in {IRLS_MAX_ITER} iterations", beta)
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
             cand = beta + alpha * step
@@ -300,7 +327,10 @@ def _solve(family, design, y, lam, beta0):
             alpha *= 0.5
         else:
             # No descent along the Newton direction, at a gradient that is
-            # not yet tiny (it was tested above): a failure.
+            # not yet tiny (it was tested above): a failure, unless IRLS
+            # has stalled at its optimum.
+            if _stalled(grad, step, eta, y):
+                return beta, trace
             raise ConvergenceError("IRLS: step halving failed to find descent", beta)
         beta, obj, eta = cand, cand_obj, cand_eta
         trace.append(obj)

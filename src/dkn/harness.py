@@ -275,6 +275,9 @@ class ExperimentConfig:
             if not _is_number(value, Real):
                 raise DimensionError(f"{name} must be a number, got {value!r}")
         FitOptions(max_sweeps=self.max_sweeps, tol=self.tol)
+        if self.run_ridge and self.n_train < 2:
+            raise DimensionError(
+                f"run_ridge needs n_train >= 2 for its CV folds, got {self.n_train}")
 
     @property
     def n_test(self):
@@ -377,7 +380,8 @@ def run_repetition(cfg, rep_seed, rep=0):
     if cfg.family == "bernoulli":
         result.accuracy_dkn = accuracy(pred, y_test)
     if cfg.run_ridge:
-        beta, intercept, _lam = baseline_ridge(x_train, y_train)
+        # Five CV folds, or one per training image when there are fewer.
+        beta, intercept, _lam = baseline_ridge(x_train, y_train, n_folds=min(5, cfg.n_train))
         result.rmse_coeff_ridge = float(rmse_coeff(beta, coeff))
         ridge_pred = x_test.reshape(x_test.shape[0], -1) @ beta.ravel() + intercept
         result.rmse_pred_ridge = rmse_pred(ridge_pred, y_test)

@@ -13,8 +13,10 @@ entries as little-endian IEEE-754 float64 in canonical order.
 ``read_dkt_stack`` reads a list of files of equal extents, such as a
 directory of images, into one preallocated ``(n, *dims)`` array, each
 file's entries read straight into its own row; ``read_dkt`` reads one file
-as a stack of one.  A malformed file is refused with a
-:class:`DataFormatError` naming it.
+as a stack of one.  Both read through ``_read_dkt_rows``, which the solver
+(``dkn_fit``) also uses to read such files block by block into a buffer of
+its own.  A malformed file is refused with a :class:`DataFormatError`
+naming it.
 
 Every JSON file goes through one writer and one reader: ``_write_json``
 writes strict JSON (sorted keys, indent 2, a non-finite float as null),
@@ -192,30 +194,42 @@ def read_dkt_stack(paths):
     """Read DKT1 files of equal extents into one ``(n, *dims)`` float64 array.
 
     The array is allocated once, from the first file's header, and each
-    file's entries are read straight into their own row: one copy per file
-    and no per-file tensor.  In memory each image is column-major, the
-    images one after another.  Each file's header and length are checked
-    before its entries are read, and a file whose extents differ from the
-    first file's is refused, naming both.
+    file's entries are read straight into their own row by
+    :func:`_read_dkt_rows`: one copy per file and no per-file tensor.  In
+    memory each image is column-major, the images one after another.
     """
     paths = list(paths)
-    if not paths:
-        raise DimensionError("need at least one DKT1 file")
-    rows = None
-    for i, path in enumerate(paths):
-        with open(path, "rb") as fh:
-            dims = _read_header(fh, path)
-            if rows is None:
-                first, shape = path, dims
-                rows = np.empty((len(paths), math.prod(dims)), dtype="<f8")
-            elif dims != shape:
-                raise DataFormatError(f"{path}: extents {dims} differ from {shape} in {first}")
-            if fh.readinto(rows[i]) != rows[i].nbytes:
-                raise DataFormatError(f"{path}: file shrank while it was read")
+    shape = _dkt_extents(paths)
+    rows = np.empty((len(paths), math.prod(shape)), dtype="<f8")
+    _read_dkt_rows(paths, rows, shape, paths[0])
     # Row i holds image i's vec; reversing its axes views it column-major.
     k = len(shape)
     stack = rows.reshape((len(paths),) + shape[::-1]).transpose(0, *range(k, 0, -1))
     return stack.astype(np.float64, copy=False)
+
+
+def _dkt_extents(paths):
+    """The extents in the header of the first of the DKT1 files ``paths``,
+    checked as :func:`_read_header` checks them."""
+    if not paths:
+        raise DimensionError("need at least one DKT1 file")
+    with open(paths[0], "rb") as fh:
+        return _read_header(fh, paths[0])
+
+
+def _read_dkt_rows(paths, rows, shape, first):
+    """Read the entries of the DKT1 files ``paths`` into the rows of the
+    little-endian float64 matrix ``rows``, one file per row, in order.  Each
+    file's header and length are checked before its entries are read, and a
+    file whose extents are not ``shape``, those of the file ``first``, is
+    refused, naming both."""
+    for path, row in zip(paths, rows):
+        with open(path, "rb") as fh:
+            dims = _read_header(fh, path)
+            if dims != shape:
+                raise DataFormatError(f"{path}: extents {dims} differ from {shape} in {first}")
+            if fh.readinto(row) != row.nbytes:
+                raise DataFormatError(f"{path}: file shrank while it was read")
 
 
 def _sanitize(obj):

@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +450,107 @@ def test_fit_refuses_a_malformed_image_file_with_exit_2(tmp_path, capsys, malfor
         assert main(["fit", "--images", imgdir, "--y", ycsv, "--out", str(tmp_path / "m")]) == 2
         assert "img_00004.dkt" in capsys.readouterr().err, name
         assert not (tmp_path / "m").exists(), name
+
+
+def test_fit_refuses_a_bad_file_in_a_later_block_before_making_its_model(
+        tmp_path, capsys, monkeypatch, malformed_dkt):
+    """``dkn fit`` reads its image files block by block (8 images a block
+    here): a malformed file, or one of other extents, in a later block is
+    refused with exit 2, naming it (and the first file, whose extents it
+    does not share), and no model directory is made."""
+    from dkn import dkn_fit
+
+    monkeypatch.setattr(dkn_fit, "_BLOCK_BYTES", 1)
+    imgdir, ycsv, _, _, _ = write_rank1_dataset(tmp_path, n=20, seed=3)
+    out = tmp_path / "m"
+    bad = os.path.join(imgdir, "img_00014.dkt")
+    with open(bad, "rb") as fh:
+        good = fh.read()
+    for name, contents in malformed_dkt(good).items():
+        with open(bad, "wb") as fh:
+            fh.write(contents)
+        assert main(["fit", "--images", imgdir, "--y", ycsv, "--out", str(out)]) == 2, name
+        assert "img_00014.dkt" in capsys.readouterr().err, name
+        assert not out.exists(), name
+    write_dkt(bad, np.zeros((4, 16)))
+    assert main(["fit", "--images", imgdir, "--y", ycsv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "img_00014.dkt: extents (4, 16) differ from (8, 8)" in err and "img_00000.dkt" in err
+    assert not out.exists()
+
+
+def test_non_finite_pixel_in_a_later_block_exits_2_naming_the_index(tmp_path, capsys, monkeypatch):
+    """The image index of a non-finite pixel is the image's own, in
+    whichever block (8 images a block here) the fit reads it."""
+    from dkn import dkn_fit
+
+    monkeypatch.setattr(dkn_fit, "_BLOCK_BYTES", 1)
+    imgdir, ycsv, _, x, _ = write_rank1_dataset(tmp_path, n=60, seed=9)
+    bad = x[17].copy()
+    bad[3, 5] = np.inf
+    write_dkt(os.path.join(imgdir, "img_00017.dkt"), bad)
+    for extra in ([], ["--rank", "scan", "--ranks", "1,2"]):
+        assert main(["fit", "--images", imgdir, "--y", ycsv, "--out", str(tmp_path / "m")]
+                    + extra) == 2
+        assert "image 17 has a non-finite pixel" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("blocks_of_8", [True, False])
+def test_fit_on_a_directory_agrees_with_the_fit_of_its_array(tmp_path, monkeypatch, blocks_of_8):
+    """``dkn fit`` reads its image files into the solver stack block by
+    block, never as one array; its fits agree with those of the array
+    ``read_dkt_stack`` reads: the same sweeps, and objective traces within
+    1e-12 relative, for a rank scan's started rank as well."""
+    from dkn import dkn_fit
+    from dkn.dkn_fit import scan_rank
+    from dkn.tensor_core import read_dkt_stack
+
+    if blocks_of_8:  # the fewest images a block may hold; else one block of 90
+        monkeypatch.setattr(dkn_fit, "_BLOCK_BYTES", 1)
+    imgdir, ycsv, _, _, y = write_rank1_dataset(tmp_path, n=90, seed=21, noise_sd=0.5)
+    out = tmp_path / "model"
+    assert main(["fit", "--images", imgdir, "--y", ycsv, "--out", str(out),
+                 "--rank", "scan", "--ranks", "1,2"]) == 0
+    with open(out / "scan_report.json") as fh:
+        got = json.load(fh)["reports"]
+    structure, _ = auto_structure((8, 8))
+    want = scan_rank(_load_images_dir(imgdir), y, structure, [1, 2],
+                     options=FitOptions(center_response=True))
+    for rank, rep in want.reports.items():
+        assert got[str(rank)]["sweeps"] == rep.sweeps
+        assert_allclose(got[str(rank)]["objective_trace"], rep.objective_trace, rtol=1e-12)
+
+
+def test_fit_on_a_directory_holds_the_stack_and_one_block(tmp_path):
+    """``dkn fit`` in-process on 200 images of 16x16x16 allocates at most
+    its solver stack, one block buffer, one tile buffer and 512 KB of slack
+    (the response, the sweeps' contractions of the stack), and less than the
+    stack and the images together."""
+    from dkn import dkn_fit
+
+    x = np.random.default_rng(64).standard_normal((200, 16, 16, 16))
+    imgdir = tmp_path / "images"
+    imgdir.mkdir()
+    for i, img in enumerate(x):
+        write_dkt(str(imgdir / f"img_{i:05d}.dkt"), img)
+    y = x[:, 4:8, 4:8, 4:8].sum(axis=(1, 2, 3))
+    write_responses(tmp_path / "y.csv", y)
+    stack_bytes = x.nbytes
+    size = dkn_fit._ImageBlocks(paths=[str(imgdir / "img_00000.dkt")] * 200).size
+    block_bytes = size * 16 ** 3 * 8
+    tile_bytes = min(dkn_fit._STACK_TILE[0], size) * (dkn_fit._STACK_TILE[1] + 8) * 8
+    assert dkn_fit._stack_workers(stack_bytes) == 1
+    tracemalloc.start()
+    try:
+        code = main(["fit", "--images", str(imgdir), "--y", str(tmp_path / "y.csv"),
+                     "--out", str(tmp_path / "model"), "--max-sweeps", "3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < stack_bytes + block_bytes + tile_bytes + (512 << 10), (peak, stack_bytes)
+    assert peak < stack_bytes + x.nbytes
 
 
 def test_predict_rejects_missing_model(tmp_path):

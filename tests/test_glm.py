@@ -407,9 +407,13 @@ def test_irls_core_is_the_reference_loop_bit_for_bit(order, monkeypatch):
 
 
 def test_irls_core_fails_as_the_reference_loop():
-    """A design of entries near 1e11 leaves no descent along the Newton
-    step, and one near 1e10 none within 100 iterations: both errors and
-    their last iterates are the oracle's."""
+    """A design of entries near 1e11 that separates its 5 rows leaves no
+    descent along the Newton step: the error and its last iterate are the
+    oracle's.  One near 1e10 whose 30 rows are not separated reaches its
+    optimum by iteration 4, where the objective is flat to rounding while
+    the gradient test, in design units, cannot pass: the oracle creeps to
+    its iteration cap and raises, and the core returns the oracle's last
+    iterate instead, stalled at its optimum (``glm._stalled``)."""
     rng = np.random.default_rng(0)
     design = 1e11 * rng.standard_normal((5, 4))
     y = (rng.random(5) < 0.5) * 1.0
@@ -418,8 +422,22 @@ def test_irls_core_fails_as_the_reference_loop():
     rng = np.random.default_rng(0)
     design = 1e10 * rng.standard_normal((30, 3))
     y = (rng.random(30) < 0.5) * 1.0
-    got = assert_bits_of_reference_irls(design, y, 1e-12)
-    assert got[:2] == (ConvergenceError, "IRLS did not converge in 100 iterations")
+    want = solve_outcome(lambda: reference_irls(design, y, 1e-12))
+    assert want[:2] == (ConvergenceError, "IRLS did not converge in 100 iterations")
+    beta, info = fit_glm(BERNOULLI, design, y, ridge=1e-12, return_info=True)
+    assert solve_outcome(lambda: glm._solve(BERNOULLI, design, y, 1e-12, None)) == (
+        beta.tobytes(), np.array(info["objective_trace"]).tobytes(), glm.IRLS_MAX_ITER)
+    assert beta.tobytes() == want[2]
+    trace = info["objective_trace"]
+    assert trace[4:] == [trace[4]] * (glm.IRLS_MAX_ITER - 3)
+    assert trace[4] == pytest.approx(19.14092055, rel=1e-9)
+    eta = design @ beta
+    mu = BERNOULLI.mean(eta)
+    grad = design.T @ (mu - y) + 1e-12 * beta
+    assert np.max(np.abs(grad)) > glm.IRLS_GRAD_TOL * (1.0 + trace[-1])
+    hess = design.T @ (design * (mu * (1.0 - mu))[:, None]) + 1e-12 * np.eye(3)
+    assert glm._stalled(grad, np.linalg.solve(hess, -grad), eta, y)
+    assert np.sum((2.0 * y - 1.0) * eta <= 0.0) == 13
 
 
 def test_irls_objective_is_summed_elementwise_past_the_clamp():

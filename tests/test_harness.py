@@ -341,6 +341,28 @@ def test_run_repetition_scores_both_methods():
     assert d["converged"] in (True, False)
 
 
+def test_run_repetition_ridge_with_fewer_training_images_than_folds(monkeypatch):
+    """With fewer than five training images the ridge baseline runs one CV
+    fold per image, and a config with one image, where no CV is possible,
+    is refused before any data are drawn."""
+    from dkn import harness
+
+    folds = []
+
+    def spy(images, response, lambdas=None, n_folds=5):
+        folds.append(n_folds)
+        return baseline_ridge(images, response, lambdas, n_folds)
+
+    monkeypatch.setattr(harness, "baseline_ridge", spy)
+    cfg = ExperimentConfig(image_dims=(8, 8), n_train=3, run_ridge=True, n_reps=1,
+                           max_sweeps=5)
+    r = run_repetition(cfg, 11)
+    assert folds == [3] and np.isfinite(r.rmse_coeff_ridge) and np.isfinite(r.rmse_pred_ridge)
+    with pytest.raises(DimensionError, match="run_ridge needs n_train >= 2"):
+        ExperimentConfig(image_dims=(8, 8), n_train=1, run_ridge=True)
+    assert ExperimentConfig(image_dims=(8, 8), n_train=1, run_ridge=False).n_train == 1
+
+
 def test_run_repetition_bernoulli_reports_accuracy():
     cfg = ExperimentConfig(
         image_dims=(8, 8),
