@@ -108,12 +108,6 @@ def _image_paths(path):
     return [by_id[i] for i in _id_range(path, by_id)]
 
 
-def _load_images_dir(path):
-    """The images under ``path`` (:func:`_image_paths`) as one stack, image
-    i at row i."""
-    return read_dkt_stack(_image_paths(path))
-
-
 def _load_response_csv(path, column="y"):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -251,8 +245,7 @@ def cmd_fit(args):
 
 def cmd_predict(args):
     model = load_model(args.model)
-    images = _load_images_dir(args.images)
-    pred = predict(model, images)
+    pred = predict(model, _image_paths(args.images))
     _write_csv(args.out, ["id", "pred"], [(i, _fmt(v)) for i, v in enumerate(pred)])
     print(f"predict: wrote {pred.shape[0]} predictions to {args.out}")
     return EXIT_OK
@@ -339,7 +332,10 @@ def cmd_check_equivalence(args):
 def cmd_diagnose(args):
     model = load_model(args.model)
     structure = model.structure
-    images = _load_images_dir(args.images)
+    # One array, not streamed: the diagnostics read the images six times at
+    # the default 50 probes, and on 500 files of 16x16x16 a pass from the
+    # files took 6.6 ms against 0.66 ms in memory.
+    images = read_dkt_stack(_image_paths(args.images))
     y = _load_response_csv(args.y)
     if y.shape[0] != images.shape[0]:
         raise DimensionError(

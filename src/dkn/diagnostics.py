@@ -31,7 +31,7 @@ import numpy as np
 from . import rng
 from .dkn_fit import (
     DknModel,
-    DknStructure,
+    _as_structure,
     _design,
     _digits,
     _image_blocks,
@@ -115,7 +115,7 @@ def probe_rip(images, structure, n_probes=50, seed=0, padded_from=None):
     is the norm of that crop, so the ratio measures the design on the
     images' own voxels rather than the share of the probe they cover.
     """
-    structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
+    structure = _as_structure(structure)
     if n_probes < 1:
         raise DimensionError("need at least one probe")
     x, src = _image_blocks(images, structure, padded_from)
@@ -169,7 +169,7 @@ def probe_tau0(images, noise, structure, n_probes=50, seed=0, padded_from=None):
     :func:`dkn_fit.fit`: unpadded images are summed where they lie, and the
     aggregate is zero beyond them.
     """
-    structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
+    structure = _as_structure(structure)
     if n_probes < 1:
         raise DimensionError("need at least one probe")
     eps = np.asarray(noise, dtype=np.float64)
@@ -205,7 +205,7 @@ def true_left_products(truth, structure):
     vec of the composed layers l..L up to scale.  Raises on truths that
     are not rank-1 at some boundary.
     """
-    structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
+    structure = _as_structure(structure)
     t = np.asarray(truth, dtype=np.float64)
     t3 = t.reshape(structure.dims3, order="F")
     tv = vec(t3)
@@ -232,7 +232,7 @@ def measure_mu(images, response, truth, structure, padded_from=None):
     The truth is at the structure's extents; ``padded_from`` is as in
     :func:`dkn_fit.fit` and applies to the images only.
     """
-    structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
+    structure = _as_structure(structure)
     init = init_spectral(images, response, structure, padded_from)
     true_left = true_left_products(truth, structure)
     worst = 0.0

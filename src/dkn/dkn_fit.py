@@ -21,13 +21,15 @@ it: each new term gets a zero layer-1 factor and, for layers 2..L, the
 chain nearest to the next left singular vector of the previous fit's score
 aggregate sum_i (y_i - mu_i) vec(X_i) reshaped at layer 2, factored by
 successive rank-1 SVDs.  Such a fit warm-starts sweep 1's solves as well.
+``scan_rank`` is the one fit driver (``fit`` is a scan of one rank): it checks
+the inputs and builds the stack once per call, and ``_fit`` runs the sweeps.
 
 Images enter as an (n, *image_dims) stack (a list of tensors or an
 (n, prod(dims)) matrix of canonical vecs is also accepted), or as the
-ordered paths of n DKT1 files of one image each, as ``dkn fit`` hands them
-in.  Unpadded images of a padded structure enter with ``padded_from``,
-here and in the diagnostics alike, and are read where they lie: no reader
-pads them.  Every reader takes the images in sample blocks from one
+ordered paths of n DKT1 files of one image each, as ``dkn fit`` and ``dkn
+predict`` hand them in.  Unpadded images of a padded structure enter with
+``padded_from``, here and in the diagnostics alike, and are read where
+they lie: no reader pads them.  Every reader takes the images in sample blocks from one
 source, ``_ImageBlocks``: a float64 array is one block, read in place,
 while files, and arrays of another dtype, are read (or cast) block by block
 into one reused buffer of a few MB, so no whole image array is made.
@@ -53,8 +55,8 @@ collapses when its factors' norm product falls below ``COLLAPSE_TOL``.  ``build_
 (so ``sweep_update``) and ``diagnostics.probe_tau0`` map canonical products into that
 order.  Image sums and predictions run over the images in their own memory order and
 build no stack; a fit's BIC comes from its last layer-L design.
-Pixels are checked by ``fit`` only: elsewhere a non-finite pixel passes
-through to its image's prediction or design row.
+Pixels are checked by ``scan_rank`` (so ``fit``) only: elsewhere a
+non-finite pixel passes through to its image's prediction or design row.
 """
 
 import contextlib
@@ -66,6 +68,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
+from numbers import Integral
 
 import numpy as np
 
@@ -183,6 +186,16 @@ class DknStructure:
         }
 
 
+def _as_structure(structure):
+    """``structure`` as a :class:`DknStructure`: one already, or a dict of its fields."""
+    return structure if isinstance(structure, DknStructure) else DknStructure(**structure)
+
+
+def _is_number(value, kind):
+    """Whether ``value`` is a ``kind`` (``Integral`` or ``Real``) but no bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _prime_ladder(x):
     """Ascending prime factors of x; empty for 1."""
     out = []
@@ -269,18 +282,6 @@ def pad_images(images, from_dims, to_dims):
     return np.pad(x, pad)
 
 
-def _image_stack(images, structure, padded_from=None):
-    """The images as one array of their own dtype in their own memory order
-    (a list of tensors is stacked in float64), and ``src``, the extent
-    triple their voxels span (:func:`_source_extents`)."""
-    if isinstance(images, (list, tuple)):
-        images = np.stack([np.asarray(t, dtype=np.float64) for t in images])
-    x = np.asarray(images)
-    if x.ndim < 2:
-        raise DimensionError("expected a stack of images")
-    return x, _source_extents(x.shape[1:], structure, padded_from)
-
-
 def _source_extents(shape, structure, padded_from):
     """``src``, the extent triple that images of extents ``shape`` span:
     ``padded_from`` for the unpadded originals of a padded structure, else
@@ -332,7 +333,7 @@ class _ImageBlocks:
             yield 0, self.array.reshape(self.n, -1, order=self.order)
             return
         buf = np.empty((self.size, math.prod(self.shape)), dtype="<f8")
-        for s in range(0, max(self.n, 1), self.size):
+        for s in range(0, self.n, self.size):
             rows = buf[: min(self.size, self.n - s)]
             if self.paths is None:
                 rows[...] = self.array[s : s + len(rows)].reshape(len(rows), -1, order=self.order)
@@ -344,17 +345,22 @@ class _ImageBlocks:
 def _image_blocks(images, structure, padded_from=None):
     """The images as the :class:`_ImageBlocks` that every image reader of
     this module reads, and ``src`` (:func:`_source_extents`).  ``images``
-    is an ``(n, *image_dims)`` stack (or a list of tensors, or an
-    ``(n, n_voxels)`` matrix of canonical vecs), the ordered paths of n
-    DKT1 files of one image each, or such blocks already."""
+    is an ``(n, *image_dims)`` array in its own dtype and memory order (or
+    a list of tensors, stacked in float64, or an ``(n, n_voxels)`` matrix of
+    canonical vecs), the ordered paths of n DKT1 files of one image each,
+    or such blocks already."""
     if isinstance(images, _ImageBlocks):
         x = images
     elif isinstance(images, (list, tuple)) and images and all(
             isinstance(p, (str, os.PathLike)) for p in images):
         x = _ImageBlocks(paths=list(images))
     else:
-        array, src = _image_stack(images, structure, padded_from)
-        return _ImageBlocks(array), src
+        array = np.asarray(images, dtype=np.float64 if isinstance(images, (list, tuple)) else None)
+        if array.ndim < 2 and array.size:  # an empty list is no images, refused below
+            raise DimensionError("expected a stack of images")
+        x = _ImageBlocks(array)
+    if x.n == 0:
+        raise DimensionError("need at least one image")
     return x, _source_extents(x.shape, structure, padded_from)
 
 
@@ -742,18 +748,16 @@ def _chain_factors(v, factor_dims):
     return out + [unvec(v, factor_dims[-1])]
 
 
-def _rank_start(model, images, response, structure):
+def _rank_start(model, family, images, y, structure):
     """Starting factors for ``structure.rank`` terms from a fitted ``model``
     of lower rank: its own chains, then one chain per added term.  Added
     term k gets a zero layer-1 factor, so the start's linear predictor is
     the model's, and layers 2..L from the chain nearest to the k-th spectral
     seed at layer 2 (:func:`_spectral_seeds`) of the score aggregate
-    sum_i (y_i - mu_i) vec(X_i), with mu the model's mean (:func:`predict`),
-    both summed in one pass over the images.  A rank that the seeds of a
-    cold fit could not support is refused the same way.
+    sum_i (y_i - mu_i) vec(X_i), with y checked and mu the model's mean
+    (:func:`predict`), both summed in one pass over the images.  A rank that
+    the seeds of a cold fit could not support is refused the same way.
     """
-    family = glm.get_family(model.family)
-    y = family.validate_response(response)
     x, src = _image_blocks(images, structure, model.padded_from)
     c = _coefficient_rows(compose_coeff(model.factors), structure, src, x.order)
     agg = None
@@ -858,9 +862,9 @@ def _solve_layer(family, design, y, ridge, beta0=None):
     positive ``ridge`` is retried once with the default ridge.  Otherwise
     the error stands: ``ridge=None`` already solved with the default ridge,
     and an explicit 0.0 asks for no penalty.  The solve is ``glm._solve``
-    without ``fit_glm``'s checks, which the callers make: :func:`fit` checks
-    the response once per fit and takes ``beta0`` from its own factors, and
-    :func:`sweep_update` checks its one solve's inputs."""
+    without ``fit_glm``'s checks, which the callers make: :func:`scan_rank`
+    checks the response once per call, ``_fit`` takes ``beta0`` from its own
+    factors, and :func:`sweep_update` checks its one solve's inputs."""
     try:
         return glm._solve(family, design, y, glm._ridge(design, ridge), beta0)[0]
     except RankDeficiencyError:
@@ -909,7 +913,7 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
         another dtype than float64, are read block by block into the
         solver's stack, and the fit holds no array of the images.
     response : array-like, length n
-    structure : DknStructure
+    structure : DknStructure, or a dict of its fields
         Image extents, factor extents per layer, and the rank R.
     family : "gaussian" or "bernoulli"
     options : FitOptions
@@ -919,8 +923,9 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
         it after every sweep.  ``trace_factors`` keeps per-sweep factor
         snapshots for contraction diagnostics.
     padded_from : tuple, optional
-        Original image extents when ``images`` were zero-padded to the
-        structure's extents (see :func:`auto_structure`).
+        Original image extents of a padded structure (see
+        :func:`auto_structure`): images of these extents are read where they
+        lie, as if zero-padded, and padded ones are accepted as well.
 
     Returns
     -------
@@ -940,39 +945,31 @@ def fit(images, response, structure, family="gaussian", options=None, padded_fro
     reseed stream k: an upper one for its layer's solve only, a lower one
     (layers 1..l-1) by unit random factors that replace that term's factors
     of those layers, so every recorded objective is the nll of the factors
-    the fit holds at the end of its sweep.
+    the fit holds at the end of its sweep.  ``fit`` is :func:`scan_rank` of
+    the structure's one rank, so its ``wall_time_s`` includes the stack build.
     """
-    return _fit(images, response, structure, family, options, padded_from)
+    structure = _as_structure(structure)
+    scan = scan_rank(images, response, structure, [structure.rank], family, options, padded_from)
+    return scan.best_model, scan.reports[structure.rank]
 
 
-def _fit(images, response, structure, family, options, padded_from, start=None, stack=None):
-    """:func:`fit`, started from the factor chains ``start`` (one per term)
-    instead of spectral seeds when given.  Every upper product is then a
-    chain, so sweep 1 splits at ``_split_layer`` and warm-starts its layer
-    solves from the start's factors like later sweeps; a collapsed upper
-    product is reseeded by a random unit vector, as no spectral pool is
-    formed.  ``stack`` is the pair that :func:`_vectorize_images` returns
-    for the images weighted by the fit's (centered) response, the solver
-    stack and the cold fit's aggregate, when the caller has built it
-    already; otherwise it is built, in one pass over the images, after the
-    response and options are checked.  Without ``start`` and ``stack`` this
-    is :func:`fit`."""
-    t0 = time.perf_counter()
-    options = options or FitOptions()
-    family = glm.get_family(family)
-    structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
-    x = _image_blocks(images, structure, padded_from)[0]
-    y_raw, intercept, truth_vec = _checked_inputs(x.n, response, structure, family, options)
+def _fit(stack, y_raw, intercept, truth_vec, structure, family, options, padded_from, start=None):
+    """One rank's sweeps on what :func:`scan_rank` prepares once per call:
+    ``stack`` is the solver stack and the cold fit's aggregate, as
+    :func:`_vectorize_images` returns them for the centered response,
+    ``y_raw``, ``intercept`` and ``truth_vec`` are :func:`_checked_inputs`'s,
+    and ``family`` is a family object.  Started from the factor chains
+    ``start`` (one per term) instead of spectral seeds when given.  Every
+    upper product is then a chain, so sweep 1 splits at ``_split_layer`` and
+    warm-starts its layer solves from the start's factors like later sweeps;
+    a collapsed upper product is reseeded by a random unit vector, as no
+    spectral pool is formed.  The caller sets the report's ``wall_time_s``."""
+    vec_x, agg = stack
     y = y_raw - intercept
-
     L, R = structure.depth, structure.rank
-    report = FitReport(family=family.name, rank=R, param_count=structure.param_count)
-    if truth_vec is not None:
-        report.dist_trace = []
-    vec_x, agg = stack or _vectorize_images(x, structure, padded_from, y)
-
-    if options.trace_factors:
-        report.snapshots = []
+    report = FitReport(family=family.name, rank=R, param_count=structure.param_count,
+                       dist_trace=None if truth_vec is None else [],
+                       snapshots=[] if options.trace_factors else None)
     if start is None:
         left, pools = _spectral_seeds(agg, structure)
         factors = [[None] * L for _ in range(R)]
@@ -1015,16 +1012,16 @@ def _fit(images, response, structure, family, options, padded_from, start=None, 
     # :func:`bic` of the model, from the last sweep's linear predictor.
     nll = glm.nll_eta(family, eta + intercept, y_raw)
     report.bic = 2.0 * nll + structure.param_count * math.log(y_raw.shape[0])
-    report.wall_time_s = time.perf_counter() - t0
     return model, report
 
 
 def _checked_inputs(n, response, structure, family, options):
     """The response, its intercept and the vec of ``options.trace_truth``
-    (None without one), after :func:`_fit`'s checks, which need no solver
-    stack: one finite response per image (of ``n``), ``center_response`` on
-    the gaussian family only, and a trace truth at the image extents.  The
-    intercept is the response mean when it is centered, else 0.0."""
+    (None without one), after the checks :func:`scan_rank` makes once per
+    call before it builds the solver stack: one finite response per image
+    (of ``n``), ``center_response`` on the gaussian family only, and a trace
+    truth at the image extents.  The intercept is the response mean when it
+    is centered, else 0.0."""
     y = family.validate_response(response)
     if y.shape != (n,):
         raise DimensionError(f"response length {y.shape} does not match {n} images")
@@ -1186,37 +1183,48 @@ class ScanResult:
 def scan_rank(images, response, structure, ranks, family="gaussian", options=None, padded_from=None):
     """Fit each candidate rank and keep the BIC minimizer (ties: smaller rank).
 
-    The smallest rank is fit cold, as :func:`fit` does.  Each larger rank
+    The one fit driver (:func:`fit` is a scan of one rank; ``images`` are as
+    there): once per call it refuses a rank that is not an integer, a bool
+    included, checks the inputs (:func:`_checked_inputs`), and only then
+    builds the one solver stack, with the cold aggregate, that every rank reads.
+
+    The smallest rank is fit cold, from spectral seeds.  Each larger rank
     starts from the factors fitted for the rank before it, plus one new
     term per added rank seeded by :func:`_rank_start`: a zero layer-1
     factor under the chain nearest to the next direction of the previous
-    fit's score aggregate.  So its first solve can keep the previous fit's
-    linear predictor, and its final objective is no higher than that
-    fit's, up to the ridge penalty of its solves.  A cold fit of any rank
-    is one :func:`fit` call.  ``images`` are as in :func:`fit`.  They are
-    copied into one solver stack, which every rank's fit reads, once every
-    rank and :func:`_fit`'s checks of the inputs have passed; the cold
-    fit's aggregate is summed in the same pass, and each started rank reads
-    the images once more for its score aggregate.
+    fit's score aggregate, for which each started rank reads the images
+    once more.  So its first solve can keep the previous fit's linear
+    predictor, and its final objective is no higher than that fit's, up to
+    the ridge penalty of its solves.  A cold fit of any rank is one
+    :func:`fit` call.  A rank's ``wall_time_s`` runs from the end of the
+    previous rank, or from the call's start for the first.
     """
-    structure = structure if isinstance(structure, DknStructure) else DknStructure(**structure)
+    t0 = time.perf_counter()
+    structure = _as_structure(structure)
+    if not np.iterable(ranks):
+        raise DimensionError(f"ranks must be a list of integers, got {ranks!r}")
+    ranks = list(ranks)
+    bad = [r for r in ranks if not _is_number(r, Integral)]
+    if bad:
+        raise DimensionError(f"rank {bad[0]!r} is not an integer")
     structures = [replace(structure, rank=r) for r in sorted({int(r) for r in ranks})]
     if not structures:
         raise DimensionError("need at least one candidate rank")
+    options = options or FitOptions()
+    family = glm.get_family(family)
     x = _image_blocks(images, structure, padded_from)[0]
-    y, intercept, _ = _checked_inputs(x.n, response, structure, glm.get_family(family),
-                                      options or FitOptions())
+    y, intercept, truth_vec = _checked_inputs(x.n, response, structure, family, options)
     stack = _vectorize_images(x, structure, padded_from, y - intercept)
-    reports, bics = {}, {}
-    best = model = None
+    models, reports, model = {}, {}, None
     for s in structures:
-        start = None if model is None else _rank_start(model, x, response, s)
-        model, rep = _fit(x, response, s, family, options, padded_from, start, stack)
-        reports[s.rank] = rep
-        bics[s.rank] = rep.bic
-        if best is None or rep.bic < bics[best[0]]:
-            best = (s.rank, model)
-    return ScanResult(best_rank=best[0], best_model=best[1], reports=reports, bic_table=bics)
+        start = None if model is None else _rank_start(model, family, x, y, s)
+        model, rep = _fit(stack, y, intercept, truth_vec, s, family, options, padded_from, start)
+        t1 = time.perf_counter()
+        rep.wall_time_s, t0 = t1 - t0, t1
+        models[s.rank], reports[s.rank] = model, rep
+    bics = {r: rep.bic for r, rep in reports.items()}
+    best = min(bics, key=bics.get)  # the first of equal BICs: the smaller rank
+    return ScanResult(best_rank=best, best_model=models[best], reports=reports, bic_table=bics)
 
 
 def save_model(model, out_dir):

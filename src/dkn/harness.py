@@ -24,6 +24,7 @@ from . import rng
 from .dkn_fit import (
     DknModel,
     FitOptions,
+    _is_number,
     auto_structure,
     fit,
     merge_to_depth,
@@ -301,12 +302,6 @@ class ExperimentConfig:
         )
         d["image_dims"] = tuple(d.get("image_dims", (32, 32)))
         return cls(signal=spec, **d)
-
-
-def _is_number(value, kind):
-    """Whether ``value`` is a number of ``kind`` (``Integral`` or ``Real``),
-    a bool not counting as one."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _structure_for(image_dims, rank, depth):

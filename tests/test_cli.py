@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose
 
 import dkn
 from dkn import rng
-from dkn.cli import _load_images_dir, _load_response_csv, build_parser, main
+from dkn.cli import _image_paths, _load_response_csv, build_parser, main
 from dkn.dkn_fit import (
     DknModel,
     DknStructure,
@@ -33,7 +33,7 @@ from dkn.dkn_fit import (
     save_model,
 )
 from dkn.kron_ops import compose_coeff
-from dkn.tensor_core import read_dkt, write_dkt
+from dkn.tensor_core import read_dkt, read_dkt_stack, write_dkt
 
 
 def write_config(path, **overrides):
@@ -115,13 +115,13 @@ def test_simulate_writes_run_repetitions_draw(tmp_path, monkeypatch, overrides):
     harness.run_repetition(cfg, cfg.seed)
 
     assert np.array_equal(read_dkt(str(data / "truth.dkt")), seen["rmse_coeff"])
-    assert np.array_equal(_load_images_dir(str(data / "images")), seen["fit"][0])
+    assert np.array_equal(read_dkt_stack(_image_paths(str(data / "images"))), seen["fit"][0])
     assert np.array_equal(_load_response_csv(str(data / "y.csv")), seen["fit"][1])
     if cfg.n_test == 0:
         assert not (data / "test_images").exists() and not (data / "y_test.csv").exists()
         assert seen["predict"].shape == (1,) + cfg.image_dims
         return
-    assert np.array_equal(_load_images_dir(str(data / "test_images")), seen["predict"])
+    assert np.array_equal(read_dkt_stack(_image_paths(str(data / "test_images"))), seen["predict"])
     assert np.array_equal(_load_response_csv(str(data / "y_test.csv")), seen["rmse_pred"])
 
 
@@ -405,7 +405,7 @@ def test_image_directory_is_read_in_id_order(tmp_path):
     for i in range(24):
         name = f"img_{i}.dkt" if i % 3 else f"img_{i:03d}.dkt"
         shutil.copy(os.path.join(imgdir, f"img_{i:05d}.dkt"), mixed / name)
-    assert np.array_equal(_load_images_dir(str(mixed)), x)
+    assert np.array_equal(read_dkt_stack(_image_paths(str(mixed))), x)
 
     models = [tmp_path / "padded", tmp_path / "mixed_model"]
     for d, out in zip([imgdir, str(mixed)], models):
@@ -504,7 +504,6 @@ def test_fit_on_a_directory_agrees_with_the_fit_of_its_array(tmp_path, monkeypat
     1e-12 relative, for a rank scan's started rank as well."""
     from dkn import dkn_fit
     from dkn.dkn_fit import scan_rank
-    from dkn.tensor_core import read_dkt_stack
 
     if blocks_of_8:  # the fewest images a block may hold; else one block of 90
         monkeypatch.setattr(dkn_fit, "_BLOCK_BYTES", 1)
@@ -515,7 +514,7 @@ def test_fit_on_a_directory_agrees_with_the_fit_of_its_array(tmp_path, monkeypat
     with open(out / "scan_report.json") as fh:
         got = json.load(fh)["reports"]
     structure, _ = auto_structure((8, 8))
-    want = scan_rank(_load_images_dir(imgdir), y, structure, [1, 2],
+    want = scan_rank(read_dkt_stack(_image_paths(imgdir)), y, structure, [1, 2],
                      options=FitOptions(center_response=True))
     for rank, rep in want.reports.items():
         assert got[str(rank)]["sweeps"] == rep.sweeps
@@ -551,6 +550,59 @@ def test_fit_on_a_directory_holds_the_stack_and_one_block(tmp_path):
     assert code == 0
     assert peak < stack_bytes + block_bytes + tile_bytes + (512 << 10), (peak, stack_bytes)
     assert peak < stack_bytes + x.nbytes
+
+
+def _fitted_dataset(tmp_path, n):
+    imgdir, ycsv, _, _, _ = write_rank1_dataset(tmp_path, n=n, seed=5)
+    model = tmp_path / "model"
+    assert main(["fit", "--images", imgdir, "--y", ycsv, "--out", str(model),
+                 "--max-sweeps", "3"]) == 0
+    return imgdir, model
+
+
+def test_predict_streams_its_image_directory(tmp_path, monkeypatch):
+    """``dkn predict`` reads its image files block by block (8 images a
+    block here), never into one array, and writes the predictions of the
+    array ``read_dkt_stack`` reads, bit for bit."""
+    from dkn import cli, dkn_fit
+
+    imgdir, model = _fitted_dataset(tmp_path, 44)
+    want = predict(load_model(str(model)), read_dkt_stack(_image_paths(imgdir)))
+
+    def no_stack(paths):
+        raise AssertionError("dkn predict read its images into one array")
+
+    monkeypatch.setattr(cli, "read_dkt_stack", no_stack)
+    monkeypatch.setattr(dkn_fit, "_BLOCK_BYTES", 1)
+    pred = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(model), "--images", imgdir, "--out", str(pred)]) == 0
+    header, *rows = [row.split(",") for row in pred.read_text().splitlines()]
+    assert header == ["id", "pred"] and [i for i, _ in rows] == [str(i) for i in range(44)]
+    assert np.array([float(v) for _, v in rows]).tobytes() == want.tobytes()
+
+
+def test_predict_refuses_a_bad_file_in_a_later_block_before_writing(
+        tmp_path, capsys, monkeypatch, malformed_dkt):
+    """A malformed file, or one of other extents, in a later block of
+    ``dkn predict``'s reads exits 2, naming it, and no ``pred.csv`` is
+    written."""
+    from dkn import dkn_fit
+
+    imgdir, model = _fitted_dataset(tmp_path, 20)
+    monkeypatch.setattr(dkn_fit, "_BLOCK_BYTES", 1)
+    pred = tmp_path / "pred.csv"
+    bad = os.path.join(imgdir, "img_00014.dkt")
+    other = tmp_path / "other.dkt"
+    write_dkt(other, np.zeros((4, 16)))
+    with open(bad, "rb") as fh:
+        cases = dict(malformed_dkt(fh.read()), other_extents=other.read_bytes())
+    for name, contents in cases.items():
+        with open(bad, "wb") as fh:
+            fh.write(contents)
+        assert main(["predict", "--model", str(model), "--images", imgdir,
+                     "--out", str(pred)]) == 2, name
+        assert "img_00014.dkt" in capsys.readouterr().err, name
+        assert not pred.exists(), name
 
 
 def test_predict_rejects_missing_model(tmp_path):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -38,7 +39,7 @@ from dkn.dkn_fit import (
     scan_rank,
     sweep_update,
 )
-from dkn.cli import _load_images_dir
+from dkn.cli import _image_paths
 from dkn.dkn_fit import _vectorize_images
 from dkn.errors import (
     ConvergenceError,
@@ -209,7 +210,8 @@ def test_vectorize_images_layouts():
 def serial_stack(images, structure, padded_from=None):
     """The solver stack as the one-thread build made it, from a zero-padded
     copy of unpadded images: the oracle for ``_vectorize_images``."""
-    x, src = dkn_fit._image_stack(images, structure, padded_from)
+    blocks, src = dkn_fit._image_blocks(images, structure, padded_from)
+    x = blocks.array
     if src != structure.dims3:
         x = pad_images(x, padded_from, structure.image_dims)
     n, v, fd = x.shape[0], structure.n_voxels, structure.factor_dims
@@ -791,9 +793,10 @@ def test_fit_reads_the_stack_twice_per_sweep(rank):
         options = FitOptions(max_sweeps=3, tol=0.0)
         # A fit started from chains of factors splits sweep 1 at m as well.
         for start in (None, random_chains(rng, structure)):
+            stack = _vectorize_images(images, structure, None, y)
             with pytest.MonkeyPatch.context() as mp:
                 calls = record_contractions(mp, structure)
-                dkn_fit._fit(images, y, structure, "gaussian", options, None, start)
+                dkn_fit._fit(stack, y, 0.0, None, structure, GAUSSIAN, options, None, start)
             assert sorted(calls) == [1, 2, 3]
             for t in (1, 2, 3):
                 k = structure.layer_size(1) if t == 1 and start is None else k_split
@@ -1502,9 +1505,9 @@ def test_rank_start_seeds_one_term_per_added_rank(monkeypatch):
     images, y = scan_problem(43, 120, "gaussian")
     starts, run = {}, dkn_fit._fit
 
-    def spy(images, response, structure, family, options, padded_from, start=None, vec_x=None):
+    def spy(stack, y, intercept, truth_vec, structure, family, options, padded_from, start=None):
         starts[structure.rank] = start
-        return run(images, response, structure, family, options, padded_from, start, vec_x)
+        return run(stack, y, intercept, truth_vec, structure, family, options, padded_from, start)
 
     monkeypatch.setattr(dkn_fit, "_fit", spy)
     scan = scan_rank(images, y, S883, [1, 3])
@@ -1590,6 +1593,76 @@ def test_a_rank_scan_builds_one_stack(monkeypatch):
     monkeypatch.setattr(dkn_fit, "_vectorize_images", counted)
     scan = scan_rank(images, y, S883, [1, 2, 3], family="bernoulli")
     assert sorted(scan.reports) == [1, 2, 3] and calls == [S883]
+
+
+@pytest.mark.parametrize("ranks", [[1, 3], [1, 2, 3]])
+def test_one_call_checks_its_inputs_once(monkeypatch, ranks):
+    """``fit`` is a one-rank ``scan_rank``: a fit, and a scan of any number
+    of ranks, checks its response, options and trace truth once, and its
+    ranks' wall times add up to no more than the call's."""
+    images, y = scan_problem(47, 120, "gaussian")
+    calls, check = [], dkn_fit._checked_inputs
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(dkn_fit, "_checked_inputs", counted)
+    options = FitOptions(trace_truth=np.ones((8, 8)))
+    t0 = time.perf_counter()
+    _, report = fit(images, y, replace(S883, rank=2), options=options)
+    elapsed = time.perf_counter() - t0
+    assert calls == [replace(S883, rank=2)] and 0.0 < report.wall_time_s <= elapsed
+    assert len(report.dist_trace) == report.sweeps
+    calls.clear()
+    t0 = time.perf_counter()
+    scan = scan_rank(images, y, S883, ranks, options=options)
+    elapsed = time.perf_counter() - t0
+    assert calls == [S883] and sorted(scan.reports) == ranks
+    times = [rep.wall_time_s for rep in scan.reports.values()]
+    assert min(times) > 0.0 and sum(times) <= elapsed
+
+
+@pytest.mark.parametrize("ranks", [[1.5, 2.7], [1, 2.0], [True, 2], [1, "2"], 2, [np.float64(2)]],
+                         ids=["fractions", "float", "bool", "string", "bare", "numpy-float"])
+def test_scan_rank_refuses_ranks_that_are_not_integers(monkeypatch, ranks):
+    """A rank that is not an integer, a bool included, is refused, naming
+    it, before the solver stack is built; numpy integers are integers."""
+
+    def no_stack(*args, **kwargs):
+        raise AssertionError("the solver stack was built before the ranks were checked")
+
+    images, y = scan_problem(48, 60, "gaussian")
+    with monkeypatch.context() as mp:
+        mp.setattr(dkn_fit, "_vectorize_images", no_stack)
+        with pytest.raises(DimensionError) as err:
+            scan_rank(images, y, S883, ranks)
+    bad = ranks if ranks == 2 else next(r for r in ranks if type(r) is not int)
+    assert repr(bad) in str(err.value)
+    scan = scan_rank(images, y, S883, [np.int64(2), 1])
+    assert sorted(scan.reports) == [1, 2] and all(type(r) is int for r in scan.reports)
+
+
+@pytest.mark.parametrize("entry", ["fit", "fit-list", "scan_rank", "predict", "init_spectral",
+                                   "probe_rip", "probe_tau0"])
+def test_no_images_are_refused(entry):
+    """Every entry point that reads images refuses none at all with a
+    DimensionError, for an empty array and an empty list alike."""
+    from dkn.diagnostics import probe_rip, probe_tau0
+
+    none, y = np.zeros((0, 8, 8)), np.zeros(0)
+    model = DknModel(structure=S883, factors=[[np.ones(fd) for fd in S883.factor_dims]])
+    calls = {
+        "fit": lambda: fit(none, y, S883),
+        "fit-list": lambda: fit([], y, S883),
+        "scan_rank": lambda: scan_rank(none, y, S883, [1, 2]),
+        "predict": lambda: predict(model, none),
+        "init_spectral": lambda: init_spectral(none, y, S883),
+        "probe_rip": lambda: probe_rip(none, S883),
+        "probe_tau0": lambda: probe_tau0(none, y, S883),
+    }
+    with pytest.raises(DimensionError, match=r"^need at least one image$"):
+        calls[entry]()
 
 
 def test_chain_factors_recompose_an_exact_chain():
@@ -1842,7 +1915,7 @@ def test_predict_is_the_same_for_every_input_layout(tmp_path):
     (tmp_path / "images").mkdir()
     for i, x in enumerate(images):
         write_dkt(str(tmp_path / "images" / f"img_{i:05d}.dkt"), x)
-    from_files = _load_images_dir(str(tmp_path / "images"))
+    from_files = read_dkt_stack(_image_paths(str(tmp_path / "images")))
     assert from_files.strides[1] < from_files.strides[2]  # column-major images
     layouts = {
         "list of tensors": list(images),
