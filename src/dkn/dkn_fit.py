@@ -14,8 +14,8 @@ the new factors on the way back down.  Layer products are seeded from the
 top singular vectors of the response-weighted image aggregate.  From sweep
 2 on, each layer solve is warm-started from that layer's factors of the
 previous sweep, stacked: against the layer design they give the current
-model's linear predictor.  ``sweep_update`` starts from the model's
-current factors in the same way.  ``scan_rank`` fits its smallest rank so
+model's linear predictor.  ``_layer_step`` is the one layer solve, and
+``sweep_update`` is one such step.  ``scan_rank`` fits its smallest rank so
 and starts each larger rank from the factors fitted for the rank before
 it: each new term gets a zero layer-1 factor and, for layers 2..L, the
 chain nearest to the next left singular vector of the previous fit's score
@@ -52,9 +52,9 @@ each half carries its result up the sweep as in ``conv_chain_eval``,
 one matmul for all R terms, and its objective comes from the layer-L design.  ``_sweeps``
 runs one sweep per ``next``; collapse event k draws reseed stream k, and a lower product
 collapses when its factors' norm product falls below ``COLLAPSE_TOL``.  ``build_design``
-(so ``sweep_update``) and ``diagnostics.probe_tau0`` map canonical products into that
-order.  Image sums and predictions run over the images in their own memory order and
-build no stack; a fit's BIC comes from its last layer-L design.
+(whose design ``sweep_update`` steps on) and ``diagnostics.probe_tau0`` map canonical
+products into that order.  Image sums and predictions run over the images in their own
+memory order and build no stack; a fit's BIC comes from its last layer-L design.
 Pixels are checked by ``scan_rank`` (so ``fit``) only: elsewhere a
 non-finite pixel passes through to its image's prediction or design row.
 """
@@ -786,7 +786,7 @@ def _layer_design(lows, ups):
     return np.concatenate([_contract_upper(w, u) for w, u in zip(lows, ups)]).T
 
 
-def build_design(images, structure, l, left, right):
+def build_design(images, structure, l, left, right, padded_from=None):
     """Design matrix for the layer-l subproblem, ``(n, R * d_l * p_l * q_l)``.
 
     ``left`` holds the composed upper products (layers l+1..L) and
@@ -795,8 +795,8 @@ def build_design(images, structure, l, left, right):
     r's layer-l factor, so ``design @ stacked_factors`` reproduces the full
     model's linear predictor exactly.  Each call copies ``images`` into the
     solver's stack once and maps the products into its order (see
-    :func:`_design`).  Pixels are not checked: a non-finite pixel makes its
-    image's design row non-finite.
+    :func:`_design`); ``padded_from`` is as in :func:`fit`.  Pixels are not
+    checked: a non-finite pixel makes its image's design row non-finite.
     """
     _check_layer(structure, l)
     left = [np.asarray(v, dtype=np.float64).ravel() for v in left]
@@ -813,7 +813,7 @@ def build_design(images, structure, l, left, right):
             raise DimensionError(f"term {r + 1}: upper product has {left[r].size} entries, expected {n_up}")
         if right[r].size != n_lo:
             raise DimensionError(f"term {r + 1}: lower product has {right[r].size} entries, expected {n_lo}")
-    return _design(_vectorize_images(images, structure), structure, l, left, right)
+    return _design(_vectorize_images(images, structure, padded_from), structure, l, left, right)
 
 
 def _design(vec_x, structure, l, left, right):
@@ -850,21 +850,15 @@ def _split_beta(beta, structure, l):
     return [b.reshape(fd, order="F") for b in beta.reshape(structure.rank, -1)]
 
 
-def _stack_layer(factors, l):
-    """Every term's layer-l factor stacked in :func:`_split_beta`'s order:
-    against the layer-l design, the model's linear predictor."""
-    return np.concatenate([vec(chain[l - 1]) for chain in factors])
-
-
 def _solve_layer(family, design, y, ridge, beta0=None):
     """GLM solution of one layer's subproblem, warm-started from ``beta0``
     (see :func:`glm.fit_glm`).  A rank-deficient solve under an explicit
     positive ``ridge`` is retried once with the default ridge.  Otherwise
     the error stands: ``ridge=None`` already solved with the default ridge,
     and an explicit 0.0 asks for no penalty.  The solve is ``glm._solve``
-    without ``fit_glm``'s checks, which the callers make: :func:`scan_rank`
-    checks the response once per call, ``_fit`` takes ``beta0`` from its own
-    factors, and :func:`sweep_update` checks its one solve's inputs."""
+    without ``fit_glm``'s checks: its one caller, :func:`_layer_step`,
+    checks the design and the warm start, and :func:`scan_rank` and
+    :func:`sweep_update` check the response once per call."""
     try:
         return glm._solve(family, design, y, glm._ridge(design, ridge), beta0)[0]
     except RankDeficiencyError:
@@ -873,32 +867,41 @@ def _solve_layer(family, design, y, ridge, beta0=None):
         return glm._solve(family, design, y, glm._ridge(design, None), beta0)[0]
 
 
-def sweep_update(model, images, response, family=None, l=1, options=None, left=None):
-    """Solve the layer-l subproblem once and return the updated model.
+def _layer_step(family, design, y, ridge, structure, factors, l):
+    """The one layer update: solve the layer-l ``design`` (:func:`_solve_layer`),
+    warm-started from the held layer-l factors (none before a cold fit's first
+    sweep; a non-finite one is refused), and write the solution back into
+    ``factors`` (:func:`_split_beta`).  Returns the solution."""
+    beta0 = None if factors[0][l - 1] is None else np.concatenate([vec(c[l - 1]) for c in factors])
+    glm._check(design, y, beta0)
+    beta = _solve_layer(family, design, y, ridge, beta0)
+    for chain, f in zip(factors, _split_beta(beta, structure, l)):
+        chain[l - 1] = f
+    return beta
 
-    Upper partial products default to those composed from the model's
-    current factors; pass ``left`` explicitly to reproduce the sweep
-    schedule, where they lag one sweep behind.  The solve is warm-started
-    from the model's current layer-l factors, as in :func:`fit`.
+
+def sweep_update(model, images, response, family=None, l=1, options=None, left=None):
+    """Solve the layer-l subproblem once and return the updated model: one
+    layer step of :func:`fit` on a copy of the model's factors, against the
+    response (checked as ``fit`` checks it) less the model's intercept, with
+    the images read at the model's ``padded_from``.  Upper partial products
+    default to those composed from the model's current factors; pass
+    ``left`` to reproduce the sweep schedule, where they lag one sweep behind.
     """
     structure = model.structure
     _check_layer(structure, l)
     options = options or FitOptions()
     family = glm.get_family(family or model.family)
+    x = _image_blocks(images, structure, model.padded_from)[0]
+    y = _checked_inputs(x.n, response, structure, family, options)[0] - model.intercept
     if left is None:
         left = partial_products(model, l + 1, "left")
     right = partial_products(model, l - 1, "right")
-    design = build_design(images, structure, l, left, right)
-    y = family.validate_response(response)
-    beta0 = _stack_layer(model.factors, l)
-    glm._check(design, y, beta0)
-    beta = _solve_layer(family, design, y, options.ridge, beta0)
-    new_factors = copy.deepcopy(model.factors)
-    for r, f in enumerate(_split_beta(beta, structure, l)):
-        new_factors[r][l - 1] = f
-    updated = replace(model, factors=new_factors, family=family.name)
+    design = build_design(x, structure, l, left, right, model.padded_from)
+    factors = [[f.copy() for f in chain] for chain in model.factors]
+    beta = _layer_step(family, design, y, options.ridge, structure, factors, l)
     info = {"layer": l, "objective": glm.nll(family, design, beta, y)}
-    return updated, info
+    return replace(model, factors=factors, family=family.name), info
 
 
 def fit(images, response, structure, family="gaussian", options=None, padded_from=None):
@@ -1095,16 +1098,12 @@ def _sweeps(vec_x, y, family, structure, options, factors, up, pools, events):
             if l == 1:  # the stack's first pass: one matmul for every term
                 low = base = list(_upper_pass(vec_x, up[m + 1]))
             design = _layer_design(low, mid[l + 1] if l <= m else up[l + 1])
-            beta0 = None if factors[0][l - 1] is None else _stack_layer(factors, l)  # the held layer l
-            beta = _solve_layer(family, design, y, options.ridge, beta0)
-            layer = _split_beta(beta, structure, l)
-            for r, f in enumerate(layer):
-                factors[r][l - 1] = f
+            beta = _layer_step(family, design, y, options.ridge, structure, factors, l)
             if l == m:  # the stack's second pass: one matmul for every term
                 lows = np.stack([_lower_product(chain, l) for chain in factors])
                 low = list(_contract_lower(vec_x, lows))
             elif l < L:  # carry the chain up one layer
-                low = list(map(_contract_lower, low, [vec(f) for f in layer]))
+                low = [_contract_lower(w, vec(chain[l - 1])) for w, chain in zip(low, factors)]
         # Downward pass: recompose the upper products from this sweep's factors.
         up = _upper_products(factors, up[L + 1], L)
         yield design, beta

@@ -19,9 +19,9 @@ to double precision anyway.  So the nll that IRLS step halving tests keeps
 falling with |eta| beyond the clamp, as its gradient does.
 
 Both solves run in one private core, ``_solve``, which checks nothing.
-``fit_glm`` checks its inputs on every call; the alternating sweep
-(``dkn_fit._solve_layer``) calls the core directly, as its fit has checked
-the response once and takes each warm start from its own factors.  IRLS
+``fit_glm`` checks its inputs on every call; the alternating sweep's one
+layer step (``dkn_fit._layer_step``) checks the design and its warm start
+and calls the core directly, as its callers check the response once.  IRLS
 sums its objective elementwise, sum(psi(eta) - y*eta), never as
 sum(psi(eta)) - y @ eta: near separation |eta| runs to 40 and more, where
 both sums are about n*|eta| while their difference, the objective, is near

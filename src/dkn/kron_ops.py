@@ -26,9 +26,9 @@ one fold (``_kron``) that composes every chain: ``kron_chain`` scatters it
 to canonical order, and the solver keeps it as is.  So the one contraction
 of a ``(rows, n)`` stack against a chain's lower or upper product,
 ``_contract_lower`` and its mirror ``_contract_upper``, is one contiguous
-matmul.  ``dkn_fit.fit``, ``dkn_fit.build_design`` and ``nonoverlap_conv``
-go through them, and ``diagnostics.probe_tau0`` reaches them through
-``build_design``'s core.
+matmul.  ``dkn_fit.fit``, ``dkn_fit.build_design`` (so ``sweep_update``)
+and ``nonoverlap_conv`` go through them, and ``diagnostics.probe_tau0``
+reaches them through ``build_design``'s core.
 """
 
 from functools import lru_cache, reduce

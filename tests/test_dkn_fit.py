@@ -1001,6 +1001,44 @@ def test_sweep_update_names_the_layer_out_of_range():
             sweep_update(model, images, y, l=l)
 
 
+def test_sweep_update_keeps_a_converged_centered_fit_fixed():
+    """A converged fit of a centered response is a fixed point of
+    sweep_update at every layer: the update solves, and reports its
+    objective, against the response less the model's intercept, as the fit
+    did."""
+    rng = np.random.default_rng(7)
+    images = rng.standard_normal((200, 8, 8))
+    truth = np.zeros((8, 8))
+    truth[2:6, 2:6] = 1.0
+    y = 5.0 + np.einsum("nij,ij->n", images, truth) + 0.5 * rng.standard_normal(200)
+    opts = FitOptions(max_sweeps=500, tol=1e-14, center_response=True)
+    model, report = fit(images, y, S883, options=opts)
+    assert report.converged and model.intercept > 4.0
+    coeff = model.coefficient()
+    for l in range(1, 4):
+        updated, info = sweep_update(model, images, y, l=l)
+        moved = np.linalg.norm(updated.coefficient() - coeff) / np.linalg.norm(coeff)
+        assert moved < 1e-6, (l, moved)
+        assert_allclose(info["objective"], report.objective_trace[-1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+def test_sweep_update_refuses_a_non_finite_held_factor(family):
+    """The layer-l factor a solve is warm-started from must be finite, for
+    both families: the Gaussian closed form does not read it, and IRLS
+    would start from a non-finite objective."""
+    images, y, _, chains = noiseless_problem(8, 60, S883)
+    if family == "bernoulli":
+        y = (y > 0) * 1.0
+    for l in range(1, 4):
+        held = [list(chain) for chain in chains]
+        held[0][l - 1] = held[0][l - 1].copy()
+        held[0][l - 1][0, 0] = np.inf
+        model = DknModel(structure=S883, factors=held, family=family)
+        with pytest.raises(DimensionError, match="^beta0 entry 0 is not finite$"):
+            sweep_update(model, images, y, l=l)
+
+
 @pytest.mark.parametrize("family, rank", [("gaussian", 2), ("bernoulli", 1)])
 def test_layer_solves_are_block_coordinate_descent(family, rank):
     """From sweep 2 on, each layer solve minimizes a convex subproblem whose
@@ -1045,7 +1083,9 @@ def test_layer_solves_are_block_coordinate_descent(family, rank):
 def test_fit_sweeps_match_manual_schedule():
     """Replaying sweep 2 with sweep_update and the previous sweep's upper
     products reproduces the fit's own factors, for both families: the
-    Bernoulli solves of both are warm-started from the sweep-1 factors."""
+    Bernoulli solves of both are warm-started from the sweep-1 factors.
+    A padded model's sweep_update reads the unpadded images where they lie,
+    to the bits of the update on their padded copy."""
     rng = np.random.default_rng(9)
     structure = DknStructure(
         image_dims=(8, 8), factor_dims=[(2, 2), (2, 2), (2, 2)], rank=2
@@ -1053,20 +1093,32 @@ def test_fit_sweeps_match_manual_schedule():
     images = rng.standard_normal((80, 8, 8))
     y_gauss = rng.standard_normal(80)
     opts = FitOptions(max_sweeps=2, tol=0.0, trace_factors=True)
-    for family, y in (("gaussian", y_gauss), ("bernoulli", (y_gauss > 0) * 1.0)):
-        _, report = fit(images, y, structure, family=family, options=opts)
+    for family, y, x, padded_from in (
+        ("gaussian", y_gauss, images, None),
+        ("bernoulli", (y_gauss > 0) * 1.0, images, None),
+        ("gaussian", y_gauss, images[:, :7, :5], (7, 5)),
+    ):
+        _, report = fit(x, y, structure, family=family, options=opts, padded_from=padded_from)
         assert len(report.snapshots) == 2
 
-        model1 = DknModel(structure=structure, factors=report.snapshots[0], family=family)
+        model1 = DknModel(structure=structure, factors=report.snapshots[0], family=family,
+                          padded_from=padded_from)
         cur = model1
         for l in range(1, 4):
             left = partial_products(model1, l + 1, "left")
-            cur, _ = sweep_update(cur, images, y, l=l, options=opts, left=left)
+            prev, (cur, info) = cur, sweep_update(cur, x, y, l=l, options=opts, left=left)
+            if padded_from is not None:
+                padded = pad_images(x, padded_from, structure.image_dims)
+                want, want_info = sweep_update(prev, padded, y, l=l, options=opts, left=left)
+                assert info == want_info
+                for got_chain, want_chain in zip(cur.factors, want.factors):
+                    for got, expected in zip(got_chain, want_chain):
+                        assert np.array_equal(got, expected)
         for r in range(2):
             for l in range(3):
                 assert_allclose(
                     cur.factors[r][l], report.snapshots[1][r][l], rtol=1e-12, atol=1e-14,
-                    err_msg=family,
+                    err_msg=f"{family}, padded_from={padded_from}",
                 )
 
 
@@ -1173,13 +1225,16 @@ _STACK_REFUSALS = [
 
 @pytest.mark.parametrize(
     "entry, case, message",
-    # The fit cases keep their bare ids; the scan_rank ones are prefixed.
-    [pytest.param(entry, case, message, id=case if entry == "fit" else f"scan_rank-{case}")
-     for entry in ("fit", "scan_rank") for case, message in _STACK_REFUSALS],
+    # The fit cases keep their bare ids; the others are prefixed.  A model's
+    # rank is not sweep_update's to refuse.
+    [pytest.param(entry, case, message, id=case if entry == "fit" else f"{entry}-{case}")
+     for entry in ("fit", "scan_rank", "sweep_update") for case, message in _STACK_REFUSALS
+     if (entry, case) != ("sweep_update", "rank_0")],
 )
 def test_fit_refuses_bad_inputs_before_building_the_stack(monkeypatch, entry, case, message):
-    """Each refusal of ``fit`` and ``scan_rank`` comes before the images are
-    copied into the solver's stack."""
+    """Each refusal of ``fit``, ``scan_rank`` and ``sweep_update`` comes
+    before the images are copied into the solver's stack, with the same
+    message."""
 
     def no_stack(*args, **kwargs):
         raise AssertionError("the solver stack was built before the inputs were checked")
@@ -1206,8 +1261,12 @@ def test_fit_refuses_bad_inputs_before_building_the_stack(monkeypatch, entry, ca
         if entry == "fit":
             # ``fit`` takes a structure dict as well; a rank-0 one is refused.
             fit(images, y, dict(vars(structure), rank=rank), family=family, options=options)
-        else:
+        elif entry == "scan_rank":
             scan_rank(images, y, structure, [rank, 2], family=family, options=options)
+        else:
+            factors = [[np.ones(fd) for fd in structure.factor_dims]]
+            model = DknModel(structure=structure, factors=factors, family=family)
+            sweep_update(model, images, y, l=2, options=options)
 
 
 def test_fit_zero_response_is_degenerate():
